@@ -2,7 +2,7 @@
 
 use catch_obs::OccupancyHist;
 use catch_trace::counters::{
-    join_prefix, monotonic_delta, push_counter, CounterSource, CounterVec, Counters, FromCounters,
+    join_prefix, monotonic_delta, push_counter, CounterSink, CounterSource, Counters, FromCounters,
 };
 use std::fmt;
 
@@ -26,7 +26,7 @@ pub struct CacheStats {
 }
 
 impl Counters for CacheStats {
-    fn counters_into(&self, prefix: &str, out: &mut CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink) {
         push_counter(out, prefix, "accesses", self.accesses);
         push_counter(out, prefix, "hits", self.hits);
         push_counter(out, prefix, "misses", self.misses);
@@ -132,7 +132,7 @@ pub struct TrafficStats {
 }
 
 impl Counters for TrafficStats {
-    fn counters_into(&self, prefix: &str, out: &mut CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink) {
         push_counter(out, prefix, "llc_requests", self.llc_requests);
         push_counter(out, prefix, "llc_replies", self.llc_replies);
         push_counter(out, prefix, "llc_writebacks", self.llc_writebacks);
@@ -227,7 +227,7 @@ pub struct PrefetchTimeliness {
 }
 
 impl Counters for PrefetchTimeliness {
-    fn counters_into(&self, prefix: &str, out: &mut CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink) {
         push_counter(out, prefix, "issued", self.issued);
         push_counter(out, prefix, "from_llc", self.from_llc);
         push_counter(out, prefix, "from_l2", self.from_l2);
@@ -369,7 +369,7 @@ impl HierarchyStats {
 }
 
 impl Counters for HierarchyStats {
-    fn counters_into(&self, prefix: &str, out: &mut CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink) {
         for (name, per_core) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
             for (i, s) in per_core.iter().enumerate() {
                 s.counters_into(&join_prefix(prefix, &format!("{name}{i}")), out);

@@ -50,7 +50,7 @@ pub use tables::{fig09_tact_area, sec6d2_table_size, tab1_area, tab2_workloads};
 
 use crate::metrics::RunResult;
 use crate::report::ExperimentReport;
-use crate::runcache::RunCache;
+use crate::runcache::{Fingerprint, KeyPrefix, RunCache};
 use crate::system::{System, SystemConfig};
 use catch_workloads::WorkloadSpec;
 
@@ -240,27 +240,59 @@ pub fn run_suite_parallel(
         None => Runner::from_env().unwrap_or_else(|e| panic!("{e}")),
     };
     let system = System::new(config.clone());
+    let runs = SuiteRuns::new(&system, eval);
     let workloads = catch_workloads::suite::all();
-    runner.run(&workloads, |_, w| run_one(&system, eval, w))
+    runner.run(&workloads, |_, w| runs.run(w))
 }
 
-/// Runs one (config, workload) simulation through the process-wide
-/// [`RunCache`]: the memoized result when the structural key is already
-/// known, a fresh simulation (with a store-shared trace) otherwise.
-pub(crate) fn run_one(system: &System, eval: &EvalConfig, spec: &WorkloadSpec) -> RunResult {
-    let cache = RunCache::global();
-    cache.run_result(system.config(), eval, spec.name, || {
-        let trace = (*cache.trace(spec, eval.ops, eval.seed)).clone();
-        match (eval.fidelity, eval.sample) {
-            (Fidelity::Fast, _) => system.run_st_fast(trace, eval.warmup),
-            (Fidelity::Lite, _) => system.run_st_lite(trace, eval.warmup),
-            (Fidelity::Ooo, Some(interval_ops)) => {
-                let cfg = catch_sample::SampleConfig::new(interval_ops);
-                system.run_sampled(trace, &cfg).result
-            }
-            (Fidelity::Ooo, None) => system.run_st_warm(trace, eval.warmup),
+/// One (system, eval) pair running workloads through the process-wide
+/// [`RunCache`], with the part of the fingerprint they share rendered
+/// once for all of them.
+pub(crate) struct SuiteRuns<'a> {
+    system: &'a System,
+    eval: &'a EvalConfig,
+    key: KeyPrefix,
+}
+
+impl<'a> SuiteRuns<'a> {
+    pub(crate) fn new(system: &'a System, eval: &'a EvalConfig) -> Self {
+        SuiteRuns {
+            system,
+            eval,
+            key: KeyPrefix::new(system.config(), eval),
         }
-    })
+    }
+
+    /// Structural cache key of the pair's run of `workload`.
+    pub(crate) fn fingerprint(&self, workload: &str) -> Fingerprint {
+        self.key.fingerprint(workload)
+    }
+
+    /// The memoized result when the structural key is already known, a
+    /// fresh simulation (on a store-shared trace) otherwise.
+    pub(crate) fn run(&self, spec: &WorkloadSpec) -> RunResult {
+        let (system, eval) = (self.system, self.eval);
+        let cache = RunCache::global();
+        let fp = self.fingerprint(spec.name);
+        cache.run_result_keyed(fp, &system.config().name, spec.name, || {
+            let trace = cache.trace(spec, eval.ops, eval.seed);
+            match (eval.fidelity, eval.sample) {
+                (Fidelity::Fast, _) => system.run_st_fast(trace, eval.warmup),
+                (Fidelity::Lite, _) => system.run_st_lite(trace, eval.warmup),
+                (Fidelity::Ooo, Some(interval_ops)) => {
+                    let cfg = catch_sample::SampleConfig::new(interval_ops);
+                    system.run_sampled(trace, &cfg).result
+                }
+                (Fidelity::Ooo, None) => system.run_st_warm(trace, eval.warmup),
+            }
+        })
+    }
+}
+
+/// One (config, workload) simulation through the process-wide
+/// [`RunCache`]: [`SuiteRuns::run`] for a caller with a single request.
+pub(crate) fn run_one(system: &System, eval: &EvalConfig, spec: &WorkloadSpec) -> RunResult {
+    SuiteRuns::new(system, eval).run(spec)
 }
 
 /// The suite configurations experiment `id` will simulate over the full
@@ -323,24 +355,26 @@ pub fn run_all(
 
     // Phase 1: collect every needed (config, workload) job, deduplicated
     // by structural fingerprint (display names do not split jobs).
+    let systems: Vec<System> = ids
+        .iter()
+        .flat_map(|id| suite_requests(id))
+        .map(System::new)
+        .collect();
+    let suites: Vec<SuiteRuns> = systems.iter().map(|s| SuiteRuns::new(s, eval)).collect();
     let mut seen = crate::FxHashSet::default();
-    let mut queue: Vec<(SystemConfig, WorkloadSpec)> = Vec::new();
-    for id in ids {
-        for config in suite_requests(id) {
-            for spec in &workloads {
-                let fp = crate::runcache::run_fingerprint(&config, eval, spec.name);
-                if seen.insert(fp.0) {
-                    queue.push((config.clone(), *spec));
-                }
+    let mut queue: Vec<(&SuiteRuns, WorkloadSpec)> = Vec::new();
+    for suite in &suites {
+        for spec in &workloads {
+            if seen.insert(suite.fingerprint(spec.name).0) {
+                queue.push((suite, *spec));
             }
         }
     }
 
     // Phase 2: execute the global queue once; results land in the
     // process-wide cache (and the disk cache when enabled).
-    runner.run(&queue, |_, (config, spec)| {
-        let system = System::new(config.clone());
-        run_one(&system, eval, spec);
+    runner.run(&queue, |_, (suite, spec)| {
+        suite.run(spec);
     });
 
     // Phase 3: assemble every report from cache hits.

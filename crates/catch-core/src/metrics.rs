@@ -3,8 +3,11 @@
 use catch_cache::{CacheHierarchy, HierarchyStats};
 use catch_cpu::CoreStats;
 use catch_dram::{DramStats, DramSystem};
-use catch_trace::counters::{join_prefix, CounterSource, CounterVec, Counters, FromCounters};
+use catch_trace::counters::{
+    join_prefix, CounterEntry, CounterSink, CounterSource, CounterVec, Counters, FromCounters,
+};
 use catch_trace::Category;
+use std::borrow::Cow;
 
 /// Everything measured over one core's run under one configuration.
 #[derive(Clone, Debug)]
@@ -24,7 +27,7 @@ pub struct RunResult {
 }
 
 impl Counters for RunResult {
-    fn counters_into(&self, prefix: &str, out: &mut CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink) {
         self.core.counters_into(&join_prefix(prefix, "core"), out);
         self.hierarchy
             .counters_into(&join_prefix(prefix, "hierarchy"), out);
@@ -36,20 +39,34 @@ impl Counters for RunResult {
 
 impl RunResult {
     /// Rebuilds a result from identity fields plus its flat counter
-    /// export (the inverse of [`Counters::counters_into`]); used by the
-    /// on-disk run cache. `label` is the workload category label as
-    /// rendered in reports.
+    /// export (the inverse of [`Counters::counters_into`]). `label` is
+    /// the workload category label as rendered in reports.
     pub fn from_parts(
         workload: String,
         label: &str,
         config: String,
         counters: CounterVec,
     ) -> Result<Self, String> {
+        let mut entries = counters
+            .iter()
+            .map(|(name, value)| Ok((Cow::Borrowed(name.as_str()), *value)));
+        Self::replay(workload, label, config, &mut entries)
+    }
+
+    /// [`RunResult::from_parts`] over a counter stream that is consumed
+    /// as it is produced: the on-disk run cache replays a shard's
+    /// counters straight out of its parser, without a list in between.
+    pub fn replay<'a>(
+        workload: String,
+        label: &str,
+        config: String,
+        counters: &mut dyn Iterator<Item = CounterEntry<'a>>,
+    ) -> Result<Self, String> {
         let category = *Category::ALL
             .iter()
             .find(|c| c.label() == label)
             .ok_or_else(|| format!("unknown workload category label '{label}'"))?;
-        let mut src = CounterSource::new(counters);
+        let mut src = CounterSource::new(counters)?;
         let core = CoreStats::from_counters("core", &mut src)?;
         let hierarchy = HierarchyStats::from_counters("hierarchy", &mut src)?;
         let dram = if src.next_in("dram") {

@@ -20,14 +20,16 @@
 //!   duplicate simulation. A panicking computation marks its slot failed
 //!   and wakes waiters so one of them retries.
 //! * **Trace store** — traces are generated once per
-//!   (workload, ops, seed) and shared as [`Arc<Trace>`] across every
-//!   configuration that replays them.
+//!   (workload, ops, seed); every configuration that replays one gets a
+//!   [`Trace`] handle onto the same micro-op buffer.
 //! * **Disk persistence** — with `CATCH_RUN_CACHE=<dir>`, finished runs
 //!   are serialised through the first-party JSON writer
 //!   ([`crate::report::json`]) together with an integrity hash over the
 //!   canonical re-rendering, so a later process can skip the simulation
 //!   entirely. Any mismatch (schema version, fingerprint, counter
-//!   layout, integrity) silently falls back to recomputation.
+//!   layout, integrity) falls back to recomputation, counted in
+//!   [`CacheSummary::disk_warnings`]. Decoding is one linear pass over
+//!   the file (see `decode_shard`).
 //!
 //! Correctness argument: a cached result is only ever reused under the
 //! exact structural key that produced it, simulations are deterministic
@@ -40,12 +42,12 @@ use crate::experiments::EvalConfig;
 use crate::metrics::RunResult;
 use crate::report::json;
 use crate::system::SystemConfig;
-use catch_trace::counters::CounterVec;
+use catch_trace::counters::CounterEntry;
 use catch_trace::hash::FxHasher;
 use catch_trace::Trace;
 use catch_workloads::WorkloadSpec;
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -71,6 +73,16 @@ impl fmt::Display for Fingerprint {
     }
 }
 
+impl Fingerprint {
+    /// The inverse of `Display`: exactly 32 lower-case hex digits.
+    pub fn from_hex(s: &str) -> Option<Fingerprint> {
+        if s.len() != 32 || !s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f')) {
+            return None;
+        }
+        u128::from_str_radix(s, 16).ok().map(Fingerprint)
+    }
+}
+
 /// Hashes `payload` twice with distinct domain-prefix bytes; 64 bits per
 /// half keeps accidental collisions across a few hundred keys negligible
 /// (and the workload id is re-checked on every disk load anyway).
@@ -84,7 +96,10 @@ pub(crate) fn fp128(payload: &str) -> Fingerprint {
     Fingerprint(((half(0x0D) as u128) << 64) | half(0xF1) as u128)
 }
 
-/// Structural cache key for one (config, eval, workload) simulation.
+/// The part of a run fingerprint that one (config, eval) pair shares
+/// across workloads, rendered once: a suite fingerprints 28 workloads
+/// against it, and the `Debug` rendering of the configuration is nearly
+/// all of a fingerprint's cost.
 ///
 /// The config's display `name` is a report label with no effect on the
 /// simulation, so it is stripped before hashing — structurally identical
@@ -92,12 +107,27 @@ pub(crate) fn fp128(payload: &str) -> Fingerprint {
 /// else rides on the derived `Debug` renderings, which cover every field
 /// (including env-captured ones like `CoreConfig::skip_ahead`), so any
 /// field perturbation changes the key.
+#[derive(Clone, Debug)]
+pub struct KeyPrefix(String);
+
+impl KeyPrefix {
+    /// Renders `schema|config|eval|` for the pair.
+    pub fn new(config: &SystemConfig, eval: &EvalConfig) -> Self {
+        let mut anon = config.clone();
+        anon.name = String::new();
+        KeyPrefix(format!("schema{SCHEMA_VERSION}|{anon:?}|{eval:?}|"))
+    }
+
+    /// Structural cache key of the pair's simulation of `workload`.
+    pub fn fingerprint(&self, workload: &str) -> Fingerprint {
+        fp128(&[self.0.as_str(), workload].concat())
+    }
+}
+
+/// Structural cache key for one (config, eval, workload) simulation:
+/// [`KeyPrefix::fingerprint`] for a caller with a single request.
 pub fn run_fingerprint(config: &SystemConfig, eval: &EvalConfig, workload: &str) -> Fingerprint {
-    let mut anon = config.clone();
-    anon.name = String::new();
-    fp128(&format!(
-        "schema{SCHEMA_VERSION}|{anon:?}|{eval:?}|{workload}"
-    ))
+    KeyPrefix::new(config, eval).fingerprint(workload)
 }
 
 /// One memoization slot: in flight, ready, or failed (computer panicked).
@@ -291,7 +321,7 @@ fn bump(counter: &AtomicU64) {
 pub struct RunCache {
     mode: Mutex<CacheMode>,
     results: SingleFlight<u128, Arc<RunResult>>,
-    traces: SingleFlight<(String, usize, u64), Arc<Trace>>,
+    traces: SingleFlight<(String, usize, u64), Trace>,
     activity: Activity,
     disk_warned: AtomicBool,
 }
@@ -352,23 +382,25 @@ impl RunCache {
         }
     }
 
-    /// The shared trace for (workload, ops, seed): generated once,
-    /// shared by every configuration that replays it.
-    pub fn trace(&self, spec: &WorkloadSpec, ops: usize, seed: u64) -> Arc<Trace> {
-        if self.mode() == CacheMode::Off {
+    /// The shared trace for (workload, ops, seed): generated once; every
+    /// caller gets a handle onto the same micro-op buffer.
+    pub fn trace(&self, spec: &WorkloadSpec, ops: usize, seed: u64) -> Trace {
+        if self.is_off() {
             bump(&self.activity.trace_misses);
-            return Arc::new(spec.generate(ops, seed));
+            return spec.generate(ops, seed);
         }
         let key = (spec.name.to_string(), ops, seed);
-        let (trace, hit) = self
-            .traces
-            .get_or_compute(key, || Arc::new(spec.generate(ops, seed)));
+        let (trace, hit) = self.traces.get_or_compute(key, || spec.generate(ops, seed));
         bump(if hit {
             &self.activity.trace_hits
         } else {
             &self.activity.trace_misses
         });
         trace
+    }
+
+    fn is_off(&self) -> bool {
+        *self.mode.lock().expect("mode poisoned") == CacheMode::Off
     }
 
     /// Memoized simulation: returns the cached result for the structural
@@ -383,22 +415,37 @@ impl RunCache {
         workload: &str,
         compute: impl FnOnce() -> RunResult,
     ) -> RunResult {
-        if self.mode() == CacheMode::Off {
+        let fp = run_fingerprint(config, eval, workload);
+        self.run_result_keyed(fp, &config.name, workload, compute)
+    }
+
+    /// [`RunCache::run_result`] for a caller that already holds the
+    /// request's fingerprint (a suite keeps one [`KeyPrefix`] for all its
+    /// workloads); `label` is the requested config's display name.
+    pub fn run_result_keyed(
+        &self,
+        fp: Fingerprint,
+        label: &str,
+        workload: &str,
+        compute: impl FnOnce() -> RunResult,
+    ) -> RunResult {
+        if self.is_off() {
             bump(&self.activity.misses);
             return compute();
         }
-        let fp = run_fingerprint(config, eval, workload);
         let (cached, hit) = self.results.get_or_compute(fp.0, || {
-            if let CacheMode::Disk(dir) = self.mode() {
-                if let Some(loaded) = self.load_disk(&dir, fp, workload) {
-                    bump(&self.activity.disk_hits);
-                    return Arc::new(loaded);
-                }
+            let dir = match self.mode() {
+                CacheMode::Disk(dir) => Some(dir),
+                _ => None,
+            };
+            if let Some(loaded) = dir.as_deref().and_then(|d| self.load_disk(d, fp, workload)) {
+                bump(&self.activity.disk_hits);
+                return Arc::new(loaded);
             }
             bump(&self.activity.misses);
             let result = compute();
-            if let CacheMode::Disk(dir) = self.mode() {
-                self.store_disk(&dir, fp, &result);
+            if let Some(dir) = &dir {
+                self.store_disk(dir, fp, &result);
             }
             Arc::new(result)
         });
@@ -406,7 +453,8 @@ impl RunCache {
             bump(&self.activity.hits);
         }
         let mut out = (*cached).clone();
-        out.config = config.name.clone();
+        out.config.clear();
+        out.config.push_str(label);
         out
     }
 
@@ -437,69 +485,26 @@ impl RunCache {
                 return None;
             }
         };
-        let loaded = self.decode_disk(&text, fp, workload);
-        if loaded.is_none() {
-            self.warn_disk(&format!("corrupt or stale entry {}", path.display()));
+        match decode_shard(&text, fp, workload) {
+            Ok(loaded) => {
+                self.activity
+                    .bytes_read
+                    .fetch_add(text.len() as u64, Ordering::Relaxed);
+                Some(loaded)
+            }
+            Err(why) => {
+                self.warn_disk(&format!(
+                    "corrupt or stale entry {} ({why})",
+                    path.display()
+                ));
+                None
+            }
         }
-        loaded
     }
 
-    /// The decode half of [`Self::load_disk`]: `None` means the entry is
-    /// corrupt or stale (schema bump, fingerprint/workload mismatch,
-    /// integrity failure).
-    fn decode_disk(&self, text: &str, fp: Fingerprint, workload: &str) -> Option<RunResult> {
-        let parsed = json::parse(text).ok()?;
-        if parsed.get("schema")?.as_num()? != SCHEMA_VERSION {
-            return None;
-        }
-        if parsed.get("fingerprint")?.as_str()? != fp.to_string() {
-            return None;
-        }
-        let integrity = parsed.get("integrity")?.as_str()?;
-        let result = parsed.get("result")?;
-        let stored_workload = result.get("workload")?.as_str()?;
-        if stored_workload != workload {
-            return None;
-        }
-        let label = result.get("category")?.as_str()?;
-        let config = result.get("config")?.as_str()?;
-        let counters: CounterVec = result
-            .get("counters")?
-            .as_obj()?
-            .iter()
-            .map(|(k, v)| Some((k.clone(), v.as_num()?)))
-            .collect::<Option<_>>()?;
-        let rebuilt = RunResult::from_parts(
-            stored_workload.to_string(),
-            label,
-            config.to_string(),
-            counters,
-        )
-        .ok()?;
-        // The integrity hash covers the canonical re-rendering of the
-        // *rebuilt* result, so it validates the whole decode chain
-        // (parse + counter replay), not just the file bytes.
-        if fp128(&json::run_result_to_json(&rebuilt, 0)).to_string() != integrity {
-            return None;
-        }
-        self.activity
-            .bytes_read
-            .fetch_add(text.len() as u64, Ordering::Relaxed);
-        Some(rebuilt)
-    }
-
-    /// Best-effort atomic disk store (tmp file + rename); the stored
-    /// result carries an empty `config` label so the file bytes do not
-    /// depend on which experiment populated the entry.
+    /// Best-effort atomic disk store (tmp file + rename).
     fn store_disk(&self, dir: &Path, fp: Fingerprint, result: &RunResult) {
-        let mut canonical = result.clone();
-        canonical.config = String::new();
-        let integrity = fp128(&json::run_result_to_json(&canonical, 0));
-        let text = format!(
-            "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"fingerprint\": \"{fp}\",\n  \
-             \"integrity\": \"{integrity}\",\n  \"result\": {}\n}}\n",
-            json::run_result_to_json(&canonical, 1)
-        );
+        let text = encode_shard(fp, result);
         if std::fs::create_dir_all(dir).is_err() {
             return;
         }
@@ -518,6 +523,108 @@ impl RunCache {
     }
 }
 
+/// The bytes of one disk entry. The stored result carries an empty
+/// `config` label so they do not depend on which experiment populated
+/// the entry. The result is rendered once, at indent 0 — the text the
+/// integrity hash covers — and the file holds that rendering shifted
+/// one level in (see [`json::write_run_result`]).
+fn encode_shard(fp: Fingerprint, result: &RunResult) -> String {
+    let mut canonical = result.clone();
+    canonical.config.clear();
+    let mut rendered = String::with_capacity(8 << 10);
+    json::write_run_result(&mut rendered, &canonical, 0);
+    let integrity = fp128(&rendered);
+    let mut text = String::with_capacity(rendered.len() + 1024);
+    write!(
+        text,
+        "{{\n  \"schema\": {SCHEMA_VERSION},\n  \"fingerprint\": \"{fp}\",\n  \
+         \"integrity\": \"{integrity}\",\n  \"result\": "
+    )
+    .expect("writing to a String cannot fail");
+    for (i, line) in rendered.split('\n').enumerate() {
+        if i > 0 {
+            text.push_str("\n  ");
+        }
+        text.push_str(line);
+    }
+    text.push_str("\n}\n");
+    text
+}
+
+/// Decodes one disk entry; `Err` says why it is corrupt or stale (schema
+/// bump, fingerprint/workload mismatch, counter layout, integrity).
+///
+/// One pass over `text`, in the member order [`encode_shard`] writes:
+/// identity strings are borrowed from it, and the counters go from the
+/// parser straight into the name-checked replay that rebuilds the stats
+/// structs, so nothing is collected in between. The integrity hash
+/// covers the canonical re-rendering of the *rebuilt* result, so it
+/// validates the whole decode chain (parse + counter replay), not just
+/// the file bytes.
+fn decode_shard(text: &str, fp: Fingerprint, workload: &str) -> Result<RunResult, String> {
+    let mut p = json::Parser::new(text);
+    let mut envelope = p.begin_object()?;
+    p.expect_key(&mut envelope, "schema")?;
+    if p.number()? != SCHEMA_VERSION {
+        return Err("schema version differs".to_string());
+    }
+    p.expect_key(&mut envelope, "fingerprint")?;
+    if Fingerprint::from_hex(&p.string()?) != Some(fp) {
+        return Err("fingerprint differs".to_string());
+    }
+    p.expect_key(&mut envelope, "integrity")?;
+    let integrity = Fingerprint::from_hex(&p.string()?).ok_or("malformed integrity hash")?;
+    p.expect_key(&mut envelope, "result")?;
+    let mut result = p.begin_object()?;
+    p.expect_key(&mut result, "workload")?;
+    let stored_workload = p.string()?;
+    if stored_workload != workload {
+        return Err(format!("holds workload '{stored_workload}'"));
+    }
+    p.expect_key(&mut result, "category")?;
+    let label = p.string()?;
+    p.expect_key(&mut result, "config")?;
+    let config = p.string()?;
+    p.expect_key(&mut result, "counters")?;
+    let mut counters = CounterMembers {
+        members: p.begin_object()?,
+        parser: &mut p,
+    };
+    let rebuilt = RunResult::replay(
+        stored_workload.into_owned(),
+        &label,
+        config.into_owned(),
+        &mut counters,
+    )?;
+    p.end_object(&mut result)?;
+    p.end_object(&mut envelope)?;
+    p.end()?;
+    let mut rendered = String::with_capacity(text.len());
+    json::write_run_result(&mut rendered, &rebuilt, 0);
+    if fp128(&rendered) != integrity {
+        return Err("integrity hash differs".to_string());
+    }
+    Ok(rebuilt)
+}
+
+/// The members of a shard's `counters` object as a counter stream.
+struct CounterMembers<'p, 'a> {
+    parser: &'p mut json::Parser<'a>,
+    members: json::Members,
+}
+
+impl<'a> Iterator for CounterMembers<'_, 'a> {
+    type Item = CounterEntry<'a>;
+
+    fn next(&mut self) -> Option<CounterEntry<'a>> {
+        let name = match self.parser.next_key(&mut self.members) {
+            Ok(name) => name?,
+            Err(e) => return Some(Err(e)),
+        };
+        Some(self.parser.number().map(|value| (name, value)))
+    }
+}
+
 fn entry_path(dir: &Path, fp: Fingerprint) -> PathBuf {
     dir.join(format!("{fp}.json"))
 }
@@ -533,6 +640,11 @@ mod tests {
 
     fn quick() -> EvalConfig {
         EvalConfig::quick()
+    }
+
+    /// Two handles onto one micro-op buffer.
+    fn shares_ops(a: &Trace, b: &Trace) -> bool {
+        std::ptr::eq(a.ops(), b.ops())
     }
 
     #[test]
@@ -652,7 +764,7 @@ mod tests {
         let spec = catch_workloads::suite::by_name("linpack_like").expect("known");
         let a = cache.trace(&spec, 400, 1);
         let b = cache.trace(&spec, 400, 1);
-        assert!(!Arc::ptr_eq(&a, &b), "off mode must not share traces");
+        assert!(!shares_ops(&a, &b), "off mode must not share traces");
         assert_eq!(cache.summary().trace_misses, 2);
     }
 
@@ -663,10 +775,10 @@ mod tests {
         let a = cache.trace(&spec, 400, 1);
         let b = cache.trace(&spec, 400, 1);
         assert!(
-            Arc::ptr_eq(&a, &b),
+            shares_ops(&a, &b),
             "one generation per (workload, ops, seed)"
         );
-        assert!(!Arc::ptr_eq(&a, &cache.trace(&spec, 400, 2)));
+        assert!(!shares_ops(&a, &cache.trace(&spec, 400, 2)));
 
         let eval = quick();
         let config = SystemConfig::baseline_exclusive();
@@ -675,7 +787,7 @@ mod tests {
         let run = |cfg: &SystemConfig| {
             cache.run_result(cfg, &eval, "linpack_like", || {
                 computes.fetch_add(1, Ordering::SeqCst);
-                crate::System::new(cfg.clone()).run_st((*a).clone())
+                crate::System::new(cfg.clone()).run_st(a.clone())
             })
         };
         let first = run(&config);
@@ -716,7 +828,7 @@ mod tests {
         let spec = catch_workloads::suite::by_name("linpack_like").expect("known");
         let trace = cache.trace(&spec, eval.ops, eval.seed);
         let result = cache.run_result(&config, &eval, "linpack_like", || {
-            crate::System::new(config.clone()).run_st((*trace).clone())
+            crate::System::new(config.clone()).run_st(trace.clone())
         });
         assert_eq!(result.workload, "linpack_like", "fell back to computing");
         let summary = cache.summary();
@@ -732,7 +844,7 @@ mod tests {
         let spec2 = catch_workloads::suite::by_name("mcf_like").expect("known");
         let trace2 = cache.trace(&spec2, eval.ops, eval.seed);
         cache.run_result(&config, &eval, "mcf_like", || {
-            crate::System::new(config.clone()).run_st((*trace2).clone())
+            crate::System::new(config.clone()).run_st(trace2.clone())
         });
         assert_eq!(cache.summary().disk_warnings, 2, "still counted");
         let _ = std::fs::remove_dir_all(&dir);

@@ -74,10 +74,6 @@ pub(super) struct HeaderInfo {
     pub baseline_ooo: Option<Vec<(String, f64)>>,
 }
 
-fn parse_hex_fp(s: &str) -> Option<u128> {
-    (s.len() == 32).then(|| u128::from_str_radix(s, 16).ok())?
-}
-
 fn field_f64(v: &json::JsonValue, key: &str) -> Option<f64> {
     Some(f64::from_bits(v.get(key)?.as_num()?))
 }
@@ -89,11 +85,14 @@ fn field_f64(v: &json::JsonValue, key: &str) -> Option<f64> {
 /// or rungs. The fidelity check runs first so a plan change gets its
 /// own diagnostic (see the module docs).
 pub(super) fn load(path: &Path, sweep_fp: Fingerprint, fidelity: &str) -> Result<State, String> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
+    let bytes = match std::fs::read(path) {
+        Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(State::default()),
         Err(e) => return Err(format!("cannot read checkpoint {}: {e}", path.display())),
     };
+    // Lossy: a hard kill inside a multi-byte character must cost that
+    // line (it no longer parses), not the whole checkpoint.
+    let text = String::from_utf8_lossy(&bytes);
     let mut state = State::default();
     let mut saw_header = false;
     for line in text.lines() {
@@ -121,7 +120,7 @@ pub(super) fn load(path: &Path, sweep_fp: Fingerprint, fidelity: &str) -> Result
                         ));
                     }
                 }
-                if parse_hex_fp(fp) != Some(sweep_fp.0) {
+                if Fingerprint::from_hex(fp) != Some(sweep_fp) {
                     return Err(format!(
                         "checkpoint {} was written by a different sweep \
                          (grid, eval scale or schema changed); delete it or \
@@ -144,12 +143,12 @@ pub(super) fn load(path: &Path, sweep_fp: Fingerprint, fidelity: &str) -> Result
                 state.baseline = Some(
                     baseline
                         .iter()
-                        .filter_map(|(k, v)| Some((k.clone(), f64::from_bits(v.as_num()?))))
+                        .filter_map(|(k, v)| Some((k.to_string(), f64::from_bits(v.as_num()?))))
                         .collect(),
                 );
                 state.baseline_ooo = value.get("baseline_ooo").and_then(|v| v.as_obj()).map(|b| {
                     b.iter()
-                        .filter_map(|(k, v)| Some((k.clone(), f64::from_bits(v.as_num()?))))
+                        .filter_map(|(k, v)| Some((k.to_string(), f64::from_bits(v.as_num()?))))
                         .collect()
                 });
                 saw_header = true;
@@ -165,7 +164,7 @@ pub(super) fn load(path: &Path, sweep_fp: Fingerprint, fidelity: &str) -> Result
         let Some(fp) = value
             .get("point")
             .and_then(|v| v.as_str())
-            .and_then(parse_hex_fp)
+            .and_then(Fingerprint::from_hex)
         else {
             continue;
         };
@@ -177,7 +176,7 @@ pub(super) fn load(path: &Path, sweep_fp: Fingerprint, fidelity: &str) -> Result
             continue;
         };
         state.points.insert(
-            fp,
+            fp.0,
             PointMetrics {
                 perf,
                 energy_uj,
@@ -357,5 +356,50 @@ mod tests {
         // Missing file: clean empty state.
         let fresh = load(&tmp("never-written.journal"), sweep, "ooo").unwrap();
         assert!(fresh.baseline.is_none() && fresh.points.is_empty());
+    }
+
+    #[test]
+    fn a_journal_cut_at_any_byte_loads_what_was_complete() {
+        let path = tmp("cut.journal");
+        let _ = std::fs::remove_file(&path);
+        let sweep = fp128("cut-sweep");
+        let header = HeaderInfo {
+            fidelity: "lite",
+            baseline: vec![("astar_like".into(), 0.75), ("mcf_like".into(), 0.25)],
+            baseline_ooo: Some(vec![("astar_like".into(), 0.5), ("mcf_like".into(), 0.125)]),
+        };
+        let w = Writer::open(&path, sweep, 2, Some(header)).unwrap();
+        let points = [
+            (fp128("p1"), "excl3-5632KB", 1.0372819),
+            (fp128("p2"), "odd \"name\" µ", 0.97),
+        ];
+        for (fp, name, perf) in points {
+            let m = PointMetrics {
+                perf,
+                energy_uj: 8123.4567,
+                area_mm2: 21.5,
+            };
+            w.append(fp, name, m);
+        }
+        drop(w);
+        let whole = std::fs::read(&path).unwrap();
+        let line_ends: Vec<usize> = (0..whole.len()).filter(|&i| whole[i] == b'\n').collect();
+        assert_eq!(line_ends.len(), 3, "a header and two points");
+
+        for cut in 0..=whole.len() {
+            std::fs::write(&path, &whole[..cut]).unwrap();
+            // A line counts once its closing brace is on disk.
+            let complete = line_ends.iter().filter(|&&end| cut >= end).count();
+            let state = load(&path, sweep, "lite").unwrap_or_else(|e| panic!("cut at {cut}: {e}"));
+            assert_eq!(state.baseline.is_some(), complete >= 1, "cut at {cut}");
+            assert_eq!(
+                state.points.len(),
+                complete.saturating_sub(1),
+                "cut at {cut}"
+            );
+            for (fp, _, perf) in &points[..state.points.len()] {
+                assert_eq!(state.points[&fp.0].perf, *perf, "cut at {cut}");
+            }
+        }
     }
 }

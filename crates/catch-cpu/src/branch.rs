@@ -17,7 +17,7 @@ pub struct BranchStats {
 }
 
 impl catch_trace::counters::Counters for BranchStats {
-    fn counters_into(&self, prefix: &str, out: &mut catch_trace::counters::CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn catch_trace::counters::CounterSink) {
         use catch_trace::counters::push_counter;
         push_counter(out, prefix, "conditional", self.conditional);
         push_counter(out, prefix, "cond_mispredicts", self.cond_mispredicts);

@@ -24,7 +24,7 @@ pub struct FrontendStats {
 }
 
 impl catch_trace::counters::Counters for FrontendStats {
-    fn counters_into(&self, prefix: &str, out: &mut catch_trace::counters::CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn catch_trace::counters::CounterSink) {
         use catch_trace::counters::push_counter;
         push_counter(out, prefix, "fetched", self.fetched);
         push_counter(out, prefix, "icache_misses", self.icache_misses);

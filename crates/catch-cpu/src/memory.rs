@@ -41,7 +41,7 @@ pub struct MemStats {
 }
 
 impl catch_trace::counters::Counters for MemStats {
-    fn counters_into(&self, prefix: &str, out: &mut catch_trace::counters::CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn catch_trace::counters::CounterSink) {
         use catch_trace::counters::push_counter;
         push_counter(out, prefix, "loads", self.loads);
         push_counter(out, prefix, "forwarded", self.forwarded);

@@ -36,7 +36,7 @@ pub struct CoreStats {
 }
 
 impl catch_trace::counters::Counters for CoreStats {
-    fn counters_into(&self, prefix: &str, out: &mut catch_trace::counters::CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn catch_trace::counters::CounterSink) {
         use catch_trace::counters::{join_prefix, push_counter};
         push_counter(out, prefix, "instructions", self.instructions);
         push_counter(out, prefix, "cycles", self.cycles);

@@ -26,7 +26,7 @@ pub struct DetectorStats {
 }
 
 impl catch_trace::counters::Counters for DetectorStats {
-    fn counters_into(&self, prefix: &str, out: &mut catch_trace::counters::CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn catch_trace::counters::CounterSink) {
         use catch_trace::counters::push_counter;
         push_counter(out, prefix, "retired", self.retired);
         push_counter(out, prefix, "walks", self.walks);

@@ -26,7 +26,7 @@ pub struct DramStats {
 }
 
 impl catch_trace::counters::Counters for DramStats {
-    fn counters_into(&self, prefix: &str, out: &mut catch_trace::counters::CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn catch_trace::counters::CounterSink) {
         use catch_trace::counters::push_counter;
         push_counter(out, prefix, "reads", self.reads);
         push_counter(out, prefix, "writes", self.writes);

@@ -7,7 +7,7 @@
 //! utilization through the existing `Counters`/report path.
 
 use catch_trace::counters::{
-    monotonic_delta, push_counter, CounterSource, CounterVec, Counters, FromCounters,
+    monotonic_delta, push_counter, CounterSink, CounterSource, Counters, FromCounters,
 };
 
 /// Number of relative-occupancy buckets (eighths of capacity).
@@ -106,7 +106,7 @@ impl OccupancyHist {
 }
 
 impl Counters for OccupancyHist {
-    fn counters_into(&self, prefix: &str, out: &mut CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink) {
         push_counter(out, prefix, "samples", self.samples);
         push_counter(out, prefix, "sum", self.sum);
         push_counter(out, prefix, "max", self.max);

@@ -123,7 +123,7 @@ pub struct TactStats {
 }
 
 impl catch_trace::counters::Counters for TactStats {
-    fn counters_into(&self, prefix: &str, out: &mut catch_trace::counters::CounterVec) {
+    fn counters_into(&self, prefix: &str, out: &mut dyn catch_trace::counters::CounterSink) {
         use catch_trace::counters::push_counter;
         push_counter(out, prefix, "targets_allocated", self.targets_allocated);
         push_counter(out, prefix, "deep_issued", self.deep_issued);

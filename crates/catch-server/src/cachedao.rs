@@ -132,7 +132,7 @@ mod tests {
         let config = SystemConfig::baseline_exclusive();
         let trace = cache.trace(&spec, eval.ops, eval.seed);
         cache.run_result(&config, &eval, spec.name, || {
-            System::new(config.clone()).run_st((*trace).clone())
+            System::new(config.clone()).run_st(trace.clone())
         });
         let stats = scan(&dir).expect("scan");
         assert_eq!(stats.entries, 1, "one simulation, one shard");

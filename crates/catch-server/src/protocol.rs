@@ -398,7 +398,7 @@ impl Response {
                     .iter()
                     .map(|(c, n)| {
                         n.as_num()
-                            .map(|n| (c.clone(), n))
+                            .map(|n| (c.to_string(), n))
                             .ok_or_else(|| format!("non-integer share for '{c}'"))
                     })
                     .collect::<Result<Vec<_>, _>>()?;

@@ -17,6 +17,11 @@
 //!   six-workload suite slice.
 //! * `harness_parity` — the parallel suite runner must reproduce the
 //!   serial runner's counters bit-for-bit.
+//! * `codec_boundaries` — generated inputs against the JSON codec:
+//!   string round trips, frames and shards cut at every byte, shards
+//!   with every byte flipped.
+//! * `cache_compat` — a committed shard from an earlier build loads and
+//!   is reproduced byte for byte; a committed fingerprint snapshot.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

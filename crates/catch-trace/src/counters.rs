@@ -6,8 +6,25 @@
 //! suite runners, golden-stats regression snapshots, and JSON export —
 //! all without an external serialisation dependency.
 
+use std::borrow::Cow;
+
 /// A flat, ordered list of named integer counters.
 pub type CounterVec = Vec<(String, u64)>;
+
+/// Where a [`Counters`] export goes: a [`CounterVec`] collects
+/// `(prefix.name, value)` pairs; a renderer writes each counter straight
+/// into its output instead, without a `String` per name.
+pub trait CounterSink {
+    /// Takes the counter named `prefix.name` (just `name` under an empty
+    /// prefix; see [`join_prefix`]).
+    fn counter(&mut self, prefix: &str, name: &str, value: u64);
+}
+
+impl CounterSink for CounterVec {
+    fn counter(&mut self, prefix: &str, name: &str, value: u64) {
+        self.push((join_prefix(prefix, name), value));
+    }
+}
 
 /// Types that can flatten their statistics into named counters.
 ///
@@ -15,8 +32,8 @@ pub type CounterVec = Vec<(String, u64)>;
 /// results appears) and *deterministically ordered* (same fields, same
 /// order, every call) — golden snapshots diff the rendered list.
 pub trait Counters {
-    /// Appends `(prefix + name, value)` pairs for every counter.
-    fn counters_into(&self, prefix: &str, out: &mut CounterVec);
+    /// Hands `out` every counter, named under `prefix`.
+    fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink);
 
     /// Collects all counters with the given prefix.
     fn counters(&self, prefix: &str) -> CounterVec {
@@ -42,13 +59,18 @@ pub fn monotonic_delta(now: u64, earlier: u64) -> u64 {
     now.saturating_sub(earlier)
 }
 
-/// Pushes one counter, joining prefix and name with `.` when needed.
-pub fn push_counter(out: &mut CounterVec, prefix: &str, name: &str, value: u64) {
-    out.push((join_prefix(prefix, name), value));
+/// Hands `out` one counter, named `prefix.name` (see [`join_prefix`]).
+pub fn push_counter(out: &mut dyn CounterSink, prefix: &str, name: &str, value: u64) {
+    out.counter(prefix, name, value);
 }
 
-/// Ordered replay of a flat counter list, used to reconstruct stats
-/// structs from a persisted [`CounterVec`].
+/// One persisted counter as its reader hands it over: the stored name
+/// (borrowed from the reader's input where possible) and the value, or
+/// the reader's own error.
+pub type CounterEntry<'a> = Result<(Cow<'a, str>, u64), String>;
+
+/// Ordered replay of a flat counter stream, used to reconstruct stats
+/// structs from persisted counters.
 ///
 /// Reconstruction mirrors [`Counters::counters_into`]: each struct
 /// consumes its counters *in emission order*, and every read checks the
@@ -56,42 +78,51 @@ pub fn push_counter(out: &mut CounterVec, prefix: &str, name: &str, value: u64) 
 /// reordered fields, missing or extra entries) is a schema change and
 /// surfaces as an `Err` — the run cache treats that as a miss and
 /// recomputes rather than deserialising garbage.
-#[derive(Clone, Debug)]
-pub struct CounterSource {
-    counters: CounterVec,
-    cursor: usize,
+///
+/// The stream is pulled one entry at a time, one entry ahead of the
+/// reads (for [`CounterSource::next_in`]), so a reader can decode
+/// straight from its input without collecting a list first; the first
+/// error the stream yields ends the replay.
+pub struct CounterSource<'s, 'a> {
+    entries: &'s mut dyn Iterator<Item = CounterEntry<'a>>,
+    head: Option<(Cow<'a, str>, u64)>,
 }
 
-impl CounterSource {
-    /// Wraps a flat counter list for ordered replay.
-    pub fn new(counters: CounterVec) -> Self {
-        CounterSource {
-            counters,
-            cursor: 0,
-        }
+impl<'s, 'a> CounterSource<'s, 'a> {
+    /// Wraps a counter stream for ordered replay.
+    pub fn new(entries: &'s mut dyn Iterator<Item = CounterEntry<'a>>) -> Result<Self, String> {
+        let head = entries.next().transpose()?;
+        Ok(CounterSource { entries, head })
     }
 
     /// Consumes the next counter, checking it is named
     /// `prefix.name` (mirroring [`push_counter`]).
     pub fn take(&mut self, prefix: &str, name: &str) -> Result<u64, String> {
-        let expect = join_prefix(prefix, name);
-        match self.counters.get(self.cursor) {
-            Some((k, v)) if *k == expect => {
-                self.cursor += 1;
-                Ok(*v)
-            }
-            Some((k, _)) => Err(format!(
-                "counter schema mismatch: expected '{expect}', found '{k}'"
-            )),
-            None => Err(format!("counter stream ended; expected '{expect}'")),
+        let Some((stored, value)) = &self.head else {
+            return Err(format!(
+                "counter stream ended; expected '{}'",
+                join_prefix(prefix, name)
+            ));
+        };
+        if !is_joined(stored, prefix, name) {
+            return Err(format!(
+                "counter schema mismatch: expected '{}', found '{stored}'",
+                join_prefix(prefix, name)
+            ));
         }
+        let value = *value;
+        // Cleared first, so a stream that has ended or failed is never
+        // polled again: every later read stops at the empty head.
+        self.head = None;
+        self.head = self.entries.next().transpose()?;
+        Ok(value)
     }
 
     /// Peeks whether the next counter lives under `prefix` (i.e. its name
     /// is `prefix.<something>`). Used to discover optional blocks and
     /// per-core vector lengths without a side channel.
     pub fn next_in(&self, prefix: &str) -> bool {
-        self.counters.get(self.cursor).is_some_and(|(k, _)| {
+        self.head.as_ref().is_some_and(|(k, _)| {
             k.strip_prefix(prefix)
                 .is_some_and(|rest| rest.starts_with('.'))
         })
@@ -100,14 +131,22 @@ impl CounterSource {
     /// Checks every counter was consumed; trailing entries mean the
     /// stored list came from a newer (or older) schema.
     pub fn finish(self) -> Result<(), String> {
-        match self.counters.get(self.cursor) {
+        match self.head {
             None => Ok(()),
-            Some((k, _)) => Err(format!(
-                "{} unconsumed counters starting at '{k}'",
-                self.counters.len() - self.cursor
-            )),
+            Some((k, _)) => Err(format!("unconsumed counters starting at '{k}'")),
         }
     }
+}
+
+/// `stored == join_prefix(prefix, name)`, without building the joined name.
+fn is_joined(stored: &str, prefix: &str, name: &str) -> bool {
+    if prefix.is_empty() {
+        return stored == name;
+    }
+    stored
+        .strip_prefix(prefix)
+        .and_then(|rest| rest.strip_prefix('.'))
+        == Some(name)
 }
 
 /// Types reconstructible from their own [`Counters`] export.
@@ -125,10 +164,9 @@ pub trait FromCounters: Sized {
 /// empty prefix).
 pub fn join_prefix(prefix: &str, name: &str) -> String {
     if prefix.is_empty() {
-        name.to_string()
-    } else {
-        format!("{prefix}.{name}")
+        return name.to_string();
     }
+    [prefix, ".", name].concat()
 }
 
 #[cfg(test)]
@@ -141,7 +179,7 @@ mod tests {
     }
 
     impl Counters for Two {
-        fn counters_into(&self, prefix: &str, out: &mut CounterVec) {
+        fn counters_into(&self, prefix: &str, out: &mut dyn CounterSink) {
             push_counter(out, prefix, "a", self.a);
             push_counter(out, prefix, "b", self.b);
         }
@@ -155,5 +193,38 @@ mod tests {
             vec![("core.a".to_string(), 1), ("core.b".to_string(), 2)]
         );
         assert_eq!(t.counters("")[0].0, "a");
+    }
+
+    #[test]
+    fn replay_checks_names_in_order_and_stops_at_the_first_error() {
+        let stored = [("a", 1), ("core.b", 2), ("core.l1d0.c", 3), ("tail", 4)];
+        let mut polls = 0;
+        let mut entries = stored.iter().map(|&(k, v)| {
+            polls += 1;
+            if k == "tail" {
+                Err("reader failed".to_string())
+            } else {
+                Ok((Cow::Borrowed(k), v))
+            }
+        });
+        let mut src = CounterSource::new(&mut entries).expect("first entry");
+        assert_eq!(src.take("", "a"), Ok(1));
+        assert!(src.next_in("core") && !src.next_in("cor") && !src.next_in("core.b"));
+        assert!(src.take("core", "x").is_err(), "wrong name");
+        assert!(
+            src.take("cor", "e.b").is_err(),
+            "the dot belongs to the join"
+        );
+        assert_eq!(src.take("core", "b"), Ok(2));
+        // Taking `c` pulls the next entry, which is the reader's error.
+        assert_eq!(src.take("core.l1d0", "c"), Err("reader failed".to_string()));
+        assert!(src.take("", "tail").is_err() && !src.next_in("tail"));
+        drop(src);
+        assert_eq!(polls, 4, "a failed stream is not polled again");
+
+        let mut entries = [Ok((Cow::Borrowed("a"), 1)), Ok((Cow::Borrowed("b"), 2))].into_iter();
+        let mut src = CounterSource::new(&mut entries).expect("first entry");
+        assert_eq!(src.take("", "a"), Ok(1));
+        assert!(src.finish().is_err(), "`b` was never consumed");
     }
 }

@@ -3,6 +3,7 @@
 use crate::op::MicroOp;
 use crate::stats::TraceStats;
 use std::fmt;
+use std::sync::Arc;
 
 /// Workload category, mirroring Table II of the paper.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -51,12 +52,15 @@ impl fmt::Display for Category {
 ///
 /// Traces are produced by the generators in `catch-workloads` (or by the
 /// [`crate::TraceBuilder`] directly in tests) and consumed by the core
-/// model. The container is immutable after construction.
+/// model. The container is immutable after construction, and the
+/// micro-op buffer is shared: `clone` hands out another handle onto the
+/// same ops (every run entry point takes its trace by value), it does
+/// not copy them.
 #[derive(Clone, Debug)]
 pub struct Trace {
     name: String,
     category: Category,
-    ops: Vec<MicroOp>,
+    ops: Arc<[MicroOp]>,
 }
 
 impl Trace {
@@ -65,7 +69,7 @@ impl Trace {
         Trace {
             name: name.into(),
             category,
-            ops,
+            ops: ops.into(),
         }
     }
 
@@ -104,7 +108,7 @@ impl Trace {
         Trace {
             name: self.name.clone(),
             category: self.category,
-            ops: self.ops[..self.ops.len().min(max_ops)].to_vec(),
+            ops: self.ops[..self.ops.len().min(max_ops)].into(),
         }
     }
 

@@ -75,8 +75,9 @@
 //! The special id `cache-smoke` is the CI run-cache gate: it runs the
 //! whole registry twice against a persistent cache directory (dropping
 //! the in-memory cache in between, so the second pass loads from disk),
-//! and exits non-zero unless the second pass is ≥ 2× faster and every
-//! report is byte-identical.
+//! and exits non-zero unless the second pass is ≥ 2× faster, every
+//! report is byte-identical, and the second pass recomputed nothing, met
+//! no corrupt entry and loaded exactly the entries the first one left.
 //!
 //! The special id `timeq-smoke` is the CI cycle-engine parity gate: it
 //! runs one golden workload under the full CATCH configuration on both
@@ -467,7 +468,9 @@ fn timeq_smoke(eval: &EvalConfig) -> ! {
 
 /// The CI run-cache gate: the whole registry twice against a persistent
 /// cache directory, hard-fail unless the warm pass is ≥ `MIN_SPEEDUP`×
-/// faster with byte-identical reports.
+/// faster with byte-identical reports and was served from the disk
+/// entries alone (a pass that quietly recomputes can still be fast and
+/// byte-identical at a small scale).
 fn cache_smoke(eval: &EvalConfig) -> ! {
     const MIN_SPEEDUP: f64 = 2.0;
     let cache = RunCache::global();
@@ -488,34 +491,63 @@ fn cache_smoke(eval: &EvalConfig) -> ! {
     };
 
     cache.reset_memory();
+    let before = cache.summary();
     let t = Instant::now();
     let cold = render(&experiments::run_all(&ids, eval, None));
     let cold_secs = t.elapsed().as_secs_f64();
-    eprintln!("cache-smoke cold: {} ({cold_secs:.1}s)", cache.summary());
+    let after_cold = cache.summary();
+    eprintln!("cache-smoke cold: {after_cold} ({cold_secs:.1}s)");
 
     // Drop the in-memory cache so the warm pass must load from disk.
     cache.reset_memory();
     let t = Instant::now();
     let warm = render(&experiments::run_all(&ids, eval, None));
     let warm_secs = t.elapsed().as_secs_f64();
-    eprintln!("cache-smoke warm: {} ({warm_secs:.1}s)", cache.summary());
+    let after_warm = cache.summary();
+    eprintln!("cache-smoke warm: {after_warm} ({warm_secs:.1}s)");
 
+    // Every entry the cold pass stored (or, on a directory that was
+    // already filled, loaded) is what the warm pass must load.
+    let touched =
+        (after_cold.disk_stores - before.disk_stores) + (after_cold.disk_hits - before.disk_hits);
+    let loaded = after_warm.disk_hits - after_cold.disk_hits;
+    let recomputed = after_warm.misses - after_cold.misses;
+    let warnings = after_warm.disk_warnings - after_cold.disk_warnings;
     let speedup = cold_secs / warm_secs.max(1e-9);
     println!(
         "cache-smoke: {} experiments, cold {cold_secs:.1}s, warm {warm_secs:.1}s, \
-         speedup {speedup:.2}x, dir {}",
+         speedup {speedup:.2}x, {loaded} shards loaded ({:.0} us of the warm pass each), dir {}",
         ids.len(),
+        warm_secs * 1e6 / loaded.max(1) as f64,
         dir.display()
     );
+    let mut failures = Vec::new();
     if cold != warm {
-        eprintln!("cache-smoke FAILED: warm-cache reports differ from cold-cache reports");
-        std::process::exit(1);
+        failures.push("warm-cache reports differ from cold-cache reports".to_string());
     }
     if speedup < MIN_SPEEDUP {
-        eprintln!("cache-smoke FAILED: warm pass under {MIN_SPEEDUP}x faster");
+        failures.push(format!("warm pass under {MIN_SPEEDUP}x faster"));
+    }
+    if recomputed != 0 {
+        failures.push(format!("warm pass recomputed {recomputed} simulations"));
+    }
+    if warnings != 0 {
+        failures.push(format!(
+            "warm pass met {warnings} unreadable or corrupt entries"
+        ));
+    }
+    if loaded != touched {
+        failures.push(format!(
+            "warm pass loaded {loaded} entries, the cold pass left {touched}"
+        ));
+    }
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("cache-smoke FAILED: {failure}");
+        }
         std::process::exit(1);
     }
-    println!("cache-smoke OK (byte-identical, ≥{MIN_SPEEDUP}x)");
+    println!("cache-smoke OK (byte-identical, ≥{MIN_SPEEDUP}x, zero recomputed, zero warnings)");
     std::process::exit(0);
 }
 
