@@ -160,8 +160,9 @@ impl Frontend {
             return pushed;
         }
         let width = self.fetch_width.min(budget);
+        let ops = trace.ops();
         while pushed < width {
-            let Some(op) = trace.ops().get(self.cursor) else {
+            let Some(op) = ops.get(self.cursor) else {
                 break;
             };
             let op = *op;
@@ -191,7 +192,7 @@ impl Frontend {
             // Branches: predict, and block fetch on a mispredict.
             let mut mispredicted = false;
             if op.class == OpClass::Branch {
-                if let Some(info) = op.branch {
+                if let Some(info) = op.branch() {
                     mispredicted = self.predictor.predict_and_train(op.pc, info);
                 }
                 if mispredicted {
@@ -217,7 +218,7 @@ impl Frontend {
     pub fn functional_step(&mut self, op: &MicroOp) -> Option<LineAddr> {
         self.cursor += 1;
         if op.class == OpClass::Branch {
-            if let Some(info) = op.branch {
+            if let Some(info) = op.branch() {
                 let _ = self.predictor.predict_and_train(op.pc, info);
             }
         }
@@ -266,7 +267,7 @@ impl Frontend {
                 last = Some(line);
             }
             if op.class == OpClass::Branch {
-                if let Some(info) = op.branch {
+                if let Some(info) = op.branch() {
                     match info.kind {
                         catch_trace::BranchKind::Conditional => {
                             if self.predictor.peek_direction(op.pc) != info.taken {

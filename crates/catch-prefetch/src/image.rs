@@ -28,7 +28,7 @@ impl MemoryImage {
         for op in trace.ops() {
             if op.class == catch_trace::OpClass::Load {
                 if let Some(mem) = op.mem {
-                    image.record(mem.addr, op.load_value);
+                    image.record(mem.addr, op.load_value());
                 }
             }
         }

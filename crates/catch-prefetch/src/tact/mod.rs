@@ -270,7 +270,7 @@ impl TactPrefetcher {
         };
         let pc = op.pc;
         let addr = mem.addr;
-        let value = op.load_value;
+        let value = op.load_value();
         let mut out: Vec<(Addr, TactComponent)> = Vec::new();
 
         // 1. Every load is a potential future cross trigger.

@@ -33,7 +33,7 @@ impl FeederRegFile {
         self.tick += 1;
         let Some(dst) = op.dst else { return };
         if op.class == OpClass::Load {
-            self.slots[dst.index()] = Some((op.pc, op.load_value, self.tick));
+            self.slots[dst.index()] = Some((op.pc, op.load_value(), self.tick));
         } else {
             // Propagate the youngest load among sources.
             let youngest = op

@@ -183,7 +183,7 @@ impl TraceBuilder {
             target,
             kind: BranchKind::Conditional,
         };
-        let op = MicroOp::branch(self.pc, info, srcs);
+        let op = MicroOp::new_branch(self.pc, info, srcs);
         self.push(op);
         self
     }
@@ -201,7 +201,7 @@ impl TraceBuilder {
             target,
             kind: BranchKind::Direct,
         };
-        let op = MicroOp::branch(self.pc, info, &[]);
+        let op = MicroOp::new_branch(self.pc, info, &[]);
         self.push(op);
         self
     }
@@ -213,7 +213,7 @@ impl TraceBuilder {
             target,
             kind: BranchKind::Indirect,
         };
-        let op = MicroOp::branch(self.pc, info, srcs);
+        let op = MicroOp::new_branch(self.pc, info, srcs);
         self.push(op);
         self
     }
@@ -225,7 +225,8 @@ impl TraceBuilder {
         self
     }
 
-    /// Finishes the trace.
+    /// Finishes the trace. The trace keeps this builder's buffer; no op
+    /// is copied.
     pub fn build(self) -> Trace {
         Trace::from_parts(self.name, self.category, self.ops)
     }
@@ -258,7 +259,7 @@ mod tests {
         assert_eq!(t.ops()[0].pc, t.ops()[2].pc);
         assert_eq!(t.ops()[1].pc, t.ops()[3].pc);
         // Final back-edge is not taken.
-        assert!(!t.ops()[5].branch.unwrap().taken);
+        assert!(!t.ops()[5].branch().unwrap().taken);
     }
 
     #[test]
@@ -277,6 +278,18 @@ mod tests {
         b.category(Category::Server);
         b.nop();
         assert_eq!(b.build().category(), Category::Server);
+    }
+
+    #[test]
+    fn build_keeps_the_builders_buffer() {
+        let mut b = TraceBuilder::new("t");
+        for _ in 0..1000 {
+            b.nop();
+        }
+        let buffer = b.ops.as_ptr();
+        let t = b.build();
+        assert_eq!(t.ops().as_ptr(), buffer, "build() copied the ops");
+        assert_eq!(t.clone().ops().as_ptr(), buffer, "clone() copied the ops");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Newtype identifiers for addresses, program counters and registers.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::num::NonZeroU8;
 
 /// Bytes per cache line (64 B, as in the paper's Skylake-like baseline).
 pub const LINE_BYTES: u64 = 64;
@@ -195,8 +197,11 @@ impl From<u64> for Pc {
 /// workload generators conventionally use 0–15 for integer registers
 /// (mirroring x86-64, and matching the 16-entry feeder tracking table of
 /// TACT) and 16–47 for FP/vector registers.
-#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ArchReg(u8);
+///
+/// Stored as `index + 1` in a `NonZeroU8`, so `Option<ArchReg>` is one
+/// byte. Ordering, hashing and formatting are those of the index.
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ArchReg(NonZeroU8);
 
 impl ArchReg {
     /// Maximum number of architectural registers in the model.
@@ -212,24 +217,30 @@ impl ArchReg {
             (index as usize) < Self::COUNT,
             "register index out of range"
         );
-        ArchReg(index)
+        ArchReg(NonZeroU8::new(index + 1).expect("index + 1 is non-zero"))
     }
 
     /// Returns the register index.
     pub const fn index(self) -> usize {
-        self.0 as usize
+        (self.0.get() - 1) as usize
+    }
+}
+
+impl Hash for ArchReg {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self.index() as u8).hash(state);
     }
 }
 
 impl fmt::Debug for ArchReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.index())
     }
 }
 
 impl fmt::Display for ArchReg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "r{}", self.0)
+        write!(f, "r{}", self.index())
     }
 }
 
@@ -270,6 +281,21 @@ mod tests {
     #[should_panic(expected = "register index out of range")]
     fn arch_reg_rejects_out_of_range() {
         let _ = ArchReg::new(64);
+    }
+
+    #[test]
+    fn arch_reg_keeps_index_order_and_hash() {
+        use std::hash::BuildHasher;
+        let hasher = crate::hash::FxBuildHasher::default();
+        for i in 0..ArchReg::COUNT as u8 {
+            let r = ArchReg::new(i);
+            assert_eq!(r.index(), i as usize);
+            assert_eq!(hasher.hash_one(r), hasher.hash_one(i));
+            assert_eq!(format!("{r:?}"), format!("r{i}"));
+            if i > 0 {
+                assert!(ArchReg::new(i - 1) < r);
+            }
+        }
     }
 
     #[test]

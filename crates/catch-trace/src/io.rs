@@ -14,6 +14,12 @@
 //!   [value u64]           if flags & VALUE
 //!   [target u64, kind u8, taken] if flags & BRANCH
 //! ```
+//!
+//! A record a [`MicroOp`] cannot hold is [`TraceIoError::Corrupt`], never a
+//! panic or a dropped field: an access size outside 1–64 bytes, a memory
+//! record on a class other than load or store, a load value on a non-load,
+//! a branch record on a non-branch or a branch without one, unknown flag
+//! bits, and a taken byte other than 0 or 1.
 
 use crate::ids::{Addr, ArchReg, Pc};
 use crate::op::{BranchInfo, BranchKind, MemRef, MicroOp, OpClass};
@@ -170,14 +176,16 @@ impl Trace {
         w.write_all(&(self.len() as u64).to_le_bytes())?;
         for op in self.ops() {
             w.write_all(&op.pc.get().to_le_bytes())?;
+            let value = op.load_value();
+            let branch = op.branch();
             let mut flags = 0u8;
             if op.mem.is_some() {
                 flags |= FLAG_MEM;
             }
-            if op.load_value != 0 {
+            if value != 0 {
                 flags |= FLAG_VALUE;
             }
-            if op.branch.is_some() {
+            if branch.is_some() {
                 flags |= FLAG_BRANCH;
             }
             w.write_all(&[class_code(op.class), flags])?;
@@ -187,12 +195,12 @@ impl Trace {
             w.write_all(&[op.dst.map(|r| r.index() as u8).unwrap_or(NO_REG)])?;
             if let Some(mem) = op.mem {
                 w.write_all(&mem.addr.get().to_le_bytes())?;
-                w.write_all(&[mem.size])?;
+                w.write_all(&[mem.size()])?;
             }
             if flags & FLAG_VALUE != 0 {
-                w.write_all(&op.load_value.to_le_bytes())?;
+                w.write_all(&value.to_le_bytes())?;
             }
-            if let Some(b) = op.branch {
+            if let Some(b) = branch {
                 w.write_all(&b.target.get().to_le_bytes())?;
                 w.write_all(&[kind_code(b.kind), u8::from(b.taken)])?;
             }
@@ -229,6 +237,15 @@ impl Trace {
             let pc = Pc::new(read_u64(r)?);
             let [class, flags] = read_exact::<2>(r)?;
             let class = class_from(class)?;
+            if flags & !(FLAG_MEM | FLAG_VALUE | FLAG_BRANCH) != 0 {
+                return Err(TraceIoError::Corrupt("op flags"));
+            }
+            if flags & FLAG_MEM != 0 && !class.is_mem() {
+                return Err(TraceIoError::Corrupt("memory record on a non-memory op"));
+            }
+            if flags & FLAG_VALUE != 0 && class != OpClass::Load {
+                return Err(TraceIoError::Corrupt("load value on a non-load"));
+            }
             let mut srcs = [None; 3];
             for slot in srcs.iter_mut() {
                 let raw = read_u8(r)?;
@@ -250,11 +267,11 @@ impl Trace {
             let mem = if flags & FLAG_MEM != 0 {
                 let addr = Addr::new(read_u64(r)?);
                 let size = read_u8(r)?;
-                Some(MemRef { addr, size })
+                Some(MemRef::new(addr, size).ok_or(TraceIoError::Corrupt("access size"))?)
             } else {
                 None
             };
-            let load_value = if flags & FLAG_VALUE != 0 {
+            let value = if flags & FLAG_VALUE != 0 {
                 read_u64(r)?
             } else {
                 0
@@ -262,6 +279,9 @@ impl Trace {
             let branch = if flags & FLAG_BRANCH != 0 {
                 let target = Pc::new(read_u64(r)?);
                 let [kind, taken] = read_exact::<2>(r)?;
+                if taken > 1 {
+                    return Err(TraceIoError::Corrupt("branch taken flag"));
+                }
                 Some(BranchInfo {
                     taken: taken != 0,
                     target,
@@ -270,15 +290,22 @@ impl Trace {
             } else {
                 None
             };
-            ops.push(MicroOp {
-                pc,
-                class,
-                srcs,
-                dst,
-                mem,
-                load_value,
-                branch,
-            });
+            let mut op = match (class, branch) {
+                (OpClass::Branch, Some(info)) => MicroOp::new_branch(pc, info, &[]),
+                (OpClass::Branch, None) => {
+                    return Err(TraceIoError::Corrupt("branch without a branch record"))
+                }
+                (_, Some(_)) => return Err(TraceIoError::Corrupt("branch record on a non-branch")),
+                (OpClass::Load, None) => {
+                    MicroOp::load(pc, ArchReg::new(0), Addr::new(0), value, &[])
+                }
+                (OpClass::Store, None) => MicroOp::store(pc, Addr::new(0), &[]),
+                (class, None) => MicroOp::compute(pc, class, None, &[]),
+            };
+            op.srcs = srcs;
+            op.dst = dst;
+            op.mem = mem;
+            ops.push(op);
         }
         Ok(Trace::from_parts(name, category, ops))
     }
@@ -353,6 +380,17 @@ mod tests {
         buf[srcs_at] = 200; // invalid register index
         let err = Trace::read_from(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, TraceIoError::Corrupt(_)), "{err}");
+    }
+
+    #[test]
+    fn unknown_op_flags_are_corrupt() {
+        let t = sample();
+        let mut buf = Vec::new();
+        t.write_to(&mut buf).unwrap();
+        let flags_at = 4 + 2 + 1 + 2 + t.name().len() + 8 + 8 + 1;
+        buf[flags_at] |= 0x80;
+        let err = Trace::read_from(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceIoError::Corrupt("op flags")), "{err}");
     }
 
     #[test]

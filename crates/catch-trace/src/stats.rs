@@ -49,7 +49,7 @@ impl TraceStats {
                 OpClass::Store => stats.stores += 1,
                 OpClass::Branch => {
                     stats.branches += 1;
-                    if op.branch.map(|b| b.taken).unwrap_or(false) {
+                    if op.branch().is_some_and(|b| b.taken) {
                         stats.taken_branches += 1;
                     }
                 }
@@ -116,7 +116,7 @@ mod tests {
             MicroOp::load(Pc::new(4), r, Addr::new(64), 0, &[]),
             MicroOp::load(Pc::new(4), r, Addr::new(64), 0, &[]),
             MicroOp::store(Pc::new(8), Addr::new(4096), &[r]),
-            MicroOp::branch(
+            MicroOp::new_branch(
                 Pc::new(12),
                 crate::BranchInfo {
                     taken: true,

@@ -60,16 +60,19 @@ impl fmt::Display for Category {
 pub struct Trace {
     name: String,
     category: Category,
-    ops: Arc<[MicroOp]>,
+    /// The builder's own `Vec`, shared as is: building a trace never
+    /// copies its ops into a second buffer.
+    ops: Arc<Vec<MicroOp>>,
 }
 
 impl Trace {
-    /// Creates a trace from parts. Prefer [`crate::TraceBuilder`].
+    /// Creates a trace from parts, keeping `ops`' buffer. Prefer
+    /// [`crate::TraceBuilder`].
     pub fn from_parts(name: impl Into<String>, category: Category, ops: Vec<MicroOp>) -> Self {
         Trace {
             name: name.into(),
             category,
-            ops: ops.into(),
+            ops: Arc::new(ops),
         }
     }
 
@@ -108,7 +111,7 @@ impl Trace {
         Trace {
             name: self.name.clone(),
             category: self.category,
-            ops: self.ops[..self.ops.len().min(max_ops)].into(),
+            ops: Arc::new(self.ops[..self.ops.len().min(max_ops)].to_vec()),
         }
     }
 
@@ -125,19 +128,14 @@ impl Trace {
             .iter()
             .map(|op| {
                 let mut op = *op;
-                if let Some(mem) = op.mem.as_mut() {
-                    mem.addr = mem.addr.offset(offset as i64);
-                }
-                if op.class == crate::OpClass::Load {
-                    op.load_value = op.load_value.wrapping_add(offset);
-                }
+                op.rebase(offset);
                 op
             })
             .collect();
         Trace {
             name: self.name.clone(),
             category: self.category,
-            ops,
+            ops: Arc::new(ops),
         }
     }
 }

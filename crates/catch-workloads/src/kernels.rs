@@ -366,7 +366,7 @@ mod tests {
         let t = b.build();
         let idx_op = &t.ops()[0];
         let gather_op = &t.ops()[1];
-        let expected = data.base().get() + idx_op.load_value * 8;
+        let expected = data.base().get() + idx_op.load_value() * 8;
         assert_eq!(gather_op.mem.unwrap().addr.get(), expected);
         assert!(gather_op.reads(ArchReg::new(1)));
     }

@@ -68,7 +68,7 @@ fn main() {
             for (i, op) in trace.ops().iter().take(count).enumerate() {
                 let mem = op.mem.map(|m| format!(" [{}]", m.addr)).unwrap_or_default();
                 let br = op
-                    .branch
+                    .branch()
                     .map(|b| format!(" -> {} ({})", b.target, if b.taken { "T" } else { "NT" }))
                     .unwrap_or_default();
                 println!("{i:6} {} {}{mem}{br}", op.pc, op.class);
