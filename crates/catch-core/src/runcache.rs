@@ -21,7 +21,12 @@
 //!   and wakes waiters so one of them retries.
 //! * **Trace store** — traces are generated once per
 //!   (workload, ops, seed); every configuration that replays one gets a
-//!   [`Trace`] handle onto the same micro-op buffer.
+//!   [`Trace`] handle onto the same micro-op buffer. The store holds at
+//!   most 128 MiB of buffers ([`Trace::heap_bytes`], capacity not
+//!   length): an insertion over budget drops the least recently
+//!   requested ready traces, counted in
+//!   [`CacheSummary::trace_evictions`]. An evicted trace regenerates bit
+//!   for bit on its next request; handles already out keep theirs alive.
 //! * **Disk persistence** — with `CATCH_RUN_CACHE=<dir>`, finished runs
 //!   are serialised through the first-party JSON writer
 //!   ([`crate::report::json`]) together with an integrity hash over the
@@ -140,6 +145,9 @@ enum SlotState<V> {
 struct Slot<V> {
     state: Mutex<SlotState<V>>,
     ready: Condvar,
+    /// Clock reading of the latest request for this key: the LRU order.
+    /// Read and written only under the map lock, which orders it.
+    last_use: AtomicU64,
 }
 
 /// Marks the slot failed if the computation unwinds, so waiters retry
@@ -158,38 +166,90 @@ impl<V> Drop for FailGuard<'_, V> {
     }
 }
 
+/// How [`SingleFlight::get_or_compute`] came by its value.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Found {
+    /// Already ready, or computed by a concurrent requester this call
+    /// waited on.
+    Hit,
+    /// Computed by this call; inserting it evicted this many colder
+    /// values.
+    Computed { evicted: u64 },
+}
+
+/// The memo map proper, with the byte count of its ready values.
+struct Slots<K, V> {
+    map: HashMap<K, Arc<Slot<V>>>,
+    /// Summed weight of the values inserted and not yet evicted.
+    bytes: usize,
+    /// Ticks once per request; stamps [`Slot::last_use`].
+    clock: u64,
+}
+
 /// A concurrency-safe memo map with single-flight deduplication: the
 /// first requester of a key computes; concurrent requesters block until
 /// the value is ready and share it.
+///
+/// A bounded map also keeps the summed `weigh` of its ready values at or
+/// under `budget` bytes: when an insertion pushes it over, the least
+/// recently requested *ready* values are dropped until it fits again. An
+/// in-flight computation is never evicted, and neither is the value just
+/// inserted, so a value larger than the whole budget is still returned
+/// and stays until the next insertion. A hit costs one stamp; only an
+/// insertion over budget scans.
 struct SingleFlight<K, V> {
-    slots: Mutex<HashMap<K, Arc<Slot<V>>>>,
+    slots: Mutex<Slots<K, V>>,
+    budget: usize,
+    weigh: fn(&V) -> usize,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
-    fn new() -> Self {
+    /// A map that never evicts.
+    fn unbounded() -> Self {
+        SingleFlight::bounded(usize::MAX, |_| 0)
+    }
+
+    /// A map whose ready values, weighed by `weigh`, stay within `budget`.
+    fn bounded(budget: usize, weigh: fn(&V) -> usize) -> Self {
         SingleFlight {
-            slots: Mutex::new(HashMap::new()),
+            slots: Mutex::new(Slots {
+                map: HashMap::new(),
+                bytes: 0,
+                clock: 0,
+            }),
+            budget,
+            weigh,
         }
     }
 
-    fn clear(&self) {
-        self.slots.lock().expect("memo map poisoned").clear();
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slots<K, V>> {
+        self.slots.lock().expect("memo map poisoned")
     }
 
-    /// Returns the memoized value and whether this call was a hit
-    /// (either already ready, or satisfied by waiting on another
-    /// requester's in-flight computation).
-    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
+    fn clear(&self) {
+        let mut slots = self.lock();
+        slots.map.clear();
+        slots.bytes = 0;
+    }
+
+    /// Returns the memoized value and how this call found it.
+    fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, Found) {
         let mut compute = Some(compute);
         loop {
             let (slot, is_computer) = {
-                let mut slots = self.slots.lock().expect("memo map poisoned");
-                match slots.entry(key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
+                let mut slots = self.lock();
+                slots.clock += 1;
+                let now = slots.clock;
+                match slots.map.entry(key.clone()) {
+                    std::collections::hash_map::Entry::Occupied(e) => {
+                        e.get().last_use.store(now, Ordering::Relaxed);
+                        (e.get().clone(), false)
+                    }
                     std::collections::hash_map::Entry::Vacant(e) => {
                         let slot = Arc::new(Slot {
                             state: Mutex::new(SlotState::InFlight),
                             ready: Condvar::new(),
+                            last_use: AtomicU64::new(now),
                         });
                         e.insert(slot.clone());
                         (slot, true)
@@ -203,14 +263,14 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
                 };
                 let value = (compute.take().expect("computer runs once"))();
                 guard.armed = false;
-                *slot.state.lock().expect("slot poisoned") = SlotState::Ready(value.clone());
+                let evicted = self.insert(&key, &slot, value.clone());
                 slot.ready.notify_all();
-                return (value, false);
+                return (value, Found::Computed { evicted });
             }
             let mut state = slot.state.lock().expect("slot poisoned");
             loop {
                 match &*state {
-                    SlotState::Ready(v) => return (v.clone(), true),
+                    SlotState::Ready(v) => return (v.clone(), Found::Hit),
                     SlotState::Failed => break,
                     SlotState::InFlight => {
                         state = slot.ready.wait(state).expect("slot poisoned");
@@ -221,13 +281,62 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
             // retrier already replaced it) and race to become the new
             // computer.
             drop(state);
-            let mut slots = self.slots.lock().expect("memo map poisoned");
-            if let Some(current) = slots.get(&key) {
+            let mut slots = self.lock();
+            if let Some(current) = slots.map.get(&key) {
                 if Arc::ptr_eq(current, &slot) {
-                    slots.remove(&key);
+                    slots.map.remove(&key);
                 }
             }
         }
+    }
+
+    /// Makes `value` ready in `slot` and charges its weight, then evicts
+    /// down to the budget; returns the number evicted. The slot turns
+    /// ready under the map lock, so an eviction scan never sees a ready
+    /// value whose weight is not yet counted. A slot that
+    /// [`SingleFlight::clear`] dropped while it computed is served to its
+    /// waiters but not charged.
+    fn insert(&self, key: &K, slot: &Arc<Slot<V>>, value: V) -> u64 {
+        let weight = (self.weigh)(&value);
+        let mut slots = self.lock();
+        *slot.state.lock().expect("slot poisoned") = SlotState::Ready(value);
+        if !slots.map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
+            return 0;
+        }
+        slots.bytes += weight;
+        if slots.bytes <= self.budget {
+            return 0;
+        }
+        let mut coldest: Vec<(u64, K, usize)> = slots
+            .map
+            .iter()
+            .filter(|(k, _)| *k != key)
+            .filter_map(|(k, s)| match &*s.state.lock().expect("slot poisoned") {
+                SlotState::Ready(v) => Some((
+                    s.last_use.load(Ordering::Relaxed),
+                    k.clone(),
+                    (self.weigh)(v),
+                )),
+                _ => None,
+            })
+            .collect();
+        coldest.sort_unstable_by_key(|&(last_use, _, _)| last_use);
+        let mut evicted = 0;
+        for (_, k, weight) in coldest {
+            if slots.bytes <= self.budget {
+                break;
+            }
+            slots.map.remove(&k);
+            slots.bytes -= weight;
+            evicted += 1;
+        }
+        evicted
+    }
+
+    /// Summed weight of the ready values held.
+    #[cfg(test)]
+    fn bytes(&self) -> usize {
+        self.lock().bytes
     }
 }
 
@@ -265,6 +374,9 @@ pub struct CacheSummary {
     pub trace_hits: u64,
     /// Trace requests that generated.
     pub trace_misses: u64,
+    /// Traces dropped from the store to keep it within its byte budget
+    /// (each regenerates on its next request).
+    pub trace_evictions: u64,
     /// Results loaded from disk instead of simulating.
     pub disk_hits: u64,
     /// Results persisted to disk.
@@ -282,16 +394,16 @@ impl fmt::Display for CacheSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "run cache: {} hits / {} misses (traces {} reused / {} built), \
-             disk {} loaded / {} stored, {} B read / {} B written",
-            self.hits,
-            self.misses,
-            self.trace_hits,
-            self.trace_misses,
-            self.disk_hits,
-            self.disk_stores,
-            self.bytes_read,
-            self.bytes_written
+            "run cache: {} hits / {} misses (traces {} reused / {} built",
+            self.hits, self.misses, self.trace_hits, self.trace_misses,
+        )?;
+        if self.trace_evictions > 0 {
+            write!(f, " / {} evicted", self.trace_evictions)?;
+        }
+        write!(
+            f,
+            "), disk {} loaded / {} stored, {} B read / {} B written",
+            self.disk_hits, self.disk_stores, self.bytes_read, self.bytes_written
         )?;
         if self.disk_warnings > 0 {
             write!(f, ", {} disk warnings", self.disk_warnings)?;
@@ -306,6 +418,7 @@ struct Activity {
     misses: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
+    trace_evictions: AtomicU64,
     disk_hits: AtomicU64,
     disk_stores: AtomicU64,
     bytes_read: AtomicU64,
@@ -316,6 +429,11 @@ struct Activity {
 fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
+
+/// Heap bytes the trace store may hold before it evicts (DESIGN.md §10
+/// "Trace store"): a standard-scale registry's traces fit with room to
+/// spare, so only a stream of unseen seeds is ever evicted.
+const TRACE_STORE_BYTES: usize = 128 << 20;
 
 /// The process-wide run cache (see the module docs).
 pub struct RunCache {
@@ -331,10 +449,15 @@ static GLOBAL: OnceLock<RunCache> = OnceLock::new();
 impl RunCache {
     /// A fresh, empty cache in the given mode.
     pub fn new(mode: CacheMode) -> Self {
+        RunCache::with_trace_budget(mode, TRACE_STORE_BYTES)
+    }
+
+    /// [`RunCache::new`] with a trace store of `budget` heap bytes.
+    fn with_trace_budget(mode: CacheMode, budget: usize) -> Self {
         RunCache {
             mode: Mutex::new(mode),
-            results: SingleFlight::new(),
-            traces: SingleFlight::new(),
+            results: SingleFlight::unbounded(),
+            traces: SingleFlight::bounded(budget, Trace::heap_bytes),
             activity: Activity::default(),
             disk_warned: AtomicBool::new(false),
         }
@@ -374,6 +497,7 @@ impl RunCache {
             misses: get(&a.misses),
             trace_hits: get(&a.trace_hits),
             trace_misses: get(&a.trace_misses),
+            trace_evictions: get(&a.trace_evictions),
             disk_hits: get(&a.disk_hits),
             disk_stores: get(&a.disk_stores),
             bytes_read: get(&a.bytes_read),
@@ -382,20 +506,26 @@ impl RunCache {
         }
     }
 
-    /// The shared trace for (workload, ops, seed): generated once; every
-    /// caller gets a handle onto the same micro-op buffer.
+    /// The shared trace for (workload, ops, seed): generated once while it
+    /// stays in the store; every caller gets a handle onto the same
+    /// micro-op buffer. A trace the store evicted regenerates, bit for
+    /// bit, and handles already given out keep the old buffer alive.
     pub fn trace(&self, spec: &WorkloadSpec, ops: usize, seed: u64) -> Trace {
         if self.is_off() {
             bump(&self.activity.trace_misses);
             return spec.generate(ops, seed);
         }
         let key = (spec.name.to_string(), ops, seed);
-        let (trace, hit) = self.traces.get_or_compute(key, || spec.generate(ops, seed));
-        bump(if hit {
-            &self.activity.trace_hits
-        } else {
-            &self.activity.trace_misses
-        });
+        let (trace, found) = self.traces.get_or_compute(key, || spec.generate(ops, seed));
+        match found {
+            Found::Hit => bump(&self.activity.trace_hits),
+            Found::Computed { evicted } => {
+                bump(&self.activity.trace_misses);
+                self.activity
+                    .trace_evictions
+                    .fetch_add(evicted, Ordering::Relaxed);
+            }
+        }
         trace
     }
 
@@ -433,7 +563,7 @@ impl RunCache {
             bump(&self.activity.misses);
             return compute();
         }
-        let (cached, hit) = self.results.get_or_compute(fp.0, || {
+        let (cached, found) = self.results.get_or_compute(fp.0, || {
             let dir = match self.mode() {
                 CacheMode::Disk(dir) => Some(dir),
                 _ => None,
@@ -449,7 +579,7 @@ impl RunCache {
             }
             Arc::new(result)
         });
-        if hit {
+        if found == Found::Hit {
             bump(&self.activity.hits);
         }
         let mut out = (*cached).clone();
@@ -723,7 +853,7 @@ mod tests {
 
     #[test]
     fn single_flight_computes_once_across_threads() {
-        let flight: SingleFlight<u64, u64> = SingleFlight::new();
+        let flight: SingleFlight<u64, u64> = SingleFlight::unbounded();
         let computed = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -742,7 +872,7 @@ mod tests {
 
     #[test]
     fn single_flight_recovers_from_panicking_computer() {
-        let flight: SingleFlight<u64, u64> = SingleFlight::new();
+        let flight: SingleFlight<u64, u64> = SingleFlight::unbounded();
         let waiter_value = std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 // Give the panicking computer time to claim the slot.
@@ -760,12 +890,171 @@ mod tests {
 
     #[test]
     fn off_mode_always_computes() {
-        let cache = RunCache::new(CacheMode::Off);
+        // A budget below one trace changes nothing: off mode stores none.
+        let cache = RunCache::with_trace_budget(CacheMode::Off, 1);
         let spec = catch_workloads::suite::by_name("linpack_like").expect("known");
         let a = cache.trace(&spec, 400, 1);
         let b = cache.trace(&spec, 400, 1);
         assert!(!shares_ops(&a, &b), "off mode must not share traces");
-        assert_eq!(cache.summary().trace_misses, 2);
+        let summary = cache.summary();
+        assert_eq!(summary.trace_misses, 2);
+        assert_eq!(summary.trace_evictions, 0);
+        assert_eq!(cache.traces.bytes(), 0);
+    }
+
+    #[test]
+    fn bounded_flight_never_evicts_in_flight_or_just_inserted() {
+        let flight: SingleFlight<u64, usize> = SingleFlight::bounded(10, |&w| w);
+        let flight = &flight;
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (finish_tx, finish_rx) = std::sync::mpsc::channel::<()>();
+        // `move`: a failed assertion drops `finish_tx`, which releases the
+        // slow computer instead of leaving the scope waiting on it.
+        std::thread::scope(move |scope| {
+            let slow = scope.spawn(move || {
+                flight.get_or_compute(1, move || {
+                    started_tx.send(()).expect("main thread listens");
+                    finish_rx.recv().expect("main thread releases");
+                    4
+                })
+            });
+            started_rx.recv().expect("slow computer started");
+            assert_eq!(
+                flight.get_or_compute(2, || 30),
+                (30, Found::Computed { evicted: 0 }),
+                "over budget alone: kept, and key 1 is still in flight"
+            );
+            finish_tx.send(()).expect("slow computer waits");
+            assert_eq!(
+                slow.join().expect("no panic"),
+                (4, Found::Computed { evicted: 1 }),
+                "key 1's insertion drops the colder key 2"
+            );
+        });
+        assert_eq!(flight.bytes(), 4);
+        assert_eq!(flight.get_or_compute(1, || 99), (4, Found::Hit));
+        assert_eq!(
+            flight.get_or_compute(2, || 30).1,
+            Found::Computed { evicted: 1 }
+        );
+    }
+
+    /// A memory cache whose trace store holds two of `spec`'s 400-op
+    /// traces but not three, and the heap bytes of one.
+    fn two_trace_cache(spec: &WorkloadSpec) -> (RunCache, usize) {
+        let one = spec.generate(400, 1).heap_bytes();
+        for seed in 2..=3 {
+            assert_eq!(spec.generate(400, seed).heap_bytes(), one, "seed {seed}");
+        }
+        let cache = RunCache::with_trace_budget(CacheMode::Memory, 2 * one + one / 2);
+        (cache, one)
+    }
+
+    #[test]
+    fn evicted_traces_regenerate_bit_identically() {
+        let spec = catch_workloads::suite::by_name("astar_like").expect("known");
+        let (cache, one) = two_trace_cache(&spec);
+        let _ = cache.trace(&spec, 400, 1);
+        let first_two = cache.trace(&spec, 400, 2);
+        let _ = cache.trace(&spec, 400, 1); // seed 2 is now the coldest
+        assert_eq!(cache.summary().trace_evictions, 0, "two traces fit");
+        let three = cache.trace(&spec, 400, 3);
+        assert_eq!(cache.summary().trace_evictions, 1, "seed 2 dropped");
+        assert_eq!(cache.traces.bytes(), 2 * one);
+
+        let again_two = cache.trace(&spec, 400, 2); // drops seed 1
+        assert!(!shares_ops(&first_two, &again_two), "regenerated");
+        assert_eq!(first_two.ops(), again_two.ops(), "op for op");
+        assert!(
+            shares_ops(&three, &cache.trace(&spec, 400, 3)),
+            "seed 3 kept"
+        );
+
+        let summary = cache.summary();
+        assert_eq!(
+            (
+                summary.trace_misses,
+                summary.trace_hits,
+                summary.trace_evictions
+            ),
+            (4, 2, 2)
+        );
+        assert_eq!(cache.traces.bytes(), 2 * one);
+        assert!(summary
+            .to_string()
+            .contains("(traces 2 reused / 4 built / 2 evicted)"));
+    }
+
+    #[test]
+    fn a_trace_over_the_whole_budget_stays_until_the_next_insertion() {
+        let spec = catch_workloads::suite::by_name("astar_like").expect("known");
+        let one = spec.generate(400, 1).heap_bytes();
+        let cache = RunCache::with_trace_budget(CacheMode::Memory, one / 2);
+        let big = cache.trace(&spec, 400, 1);
+        assert!(!big.is_empty());
+        assert!(shares_ops(&big, &cache.trace(&spec, 400, 1)), "resident");
+        assert_eq!(cache.summary().trace_evictions, 0);
+        assert_eq!(cache.traces.bytes(), one);
+        let _ = cache.trace(&spec, 400, 2);
+        assert_eq!(
+            cache.summary().trace_evictions,
+            1,
+            "the next insertion drops it"
+        );
+        assert_eq!(cache.traces.bytes(), one);
+        assert!(
+            !shares_ops(&big, &cache.trace(&spec, 400, 1)),
+            "regenerated"
+        );
+    }
+
+    #[test]
+    fn single_flight_survives_eviction() {
+        let spec = catch_workloads::suite::by_name("astar_like").expect("known");
+        let (cache, _) = two_trace_cache(&spec);
+        let _ = cache.trace(&spec, 400, 1);
+        let _ = cache.trace(&spec, 400, 2);
+        let start = std::sync::Barrier::new(8);
+        let traces: Vec<Trace> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.trace(&spec, 400, 3)
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("no panic"))
+                .collect()
+        });
+        assert!(traces.iter().all(|t| shares_ops(t, &traces[0])));
+        let summary = cache.summary();
+        assert_eq!(
+            (
+                summary.trace_misses,
+                summary.trace_hits,
+                summary.trace_evictions
+            ),
+            (3, 7, 1),
+            "eight requests, one generation, one eviction"
+        );
+    }
+
+    #[test]
+    fn reset_memory_empties_the_byte_count() {
+        let spec = catch_workloads::suite::by_name("astar_like").expect("known");
+        let (cache, one) = two_trace_cache(&spec);
+        let _ = cache.trace(&spec, 400, 1);
+        let _ = cache.trace(&spec, 400, 2);
+        assert_eq!(cache.traces.bytes(), 2 * one);
+        cache.reset_memory();
+        assert_eq!(cache.traces.bytes(), 0);
+        let _ = cache.trace(&spec, 400, 3);
+        let _ = cache.trace(&spec, 400, 1);
+        assert_eq!(cache.traces.bytes(), 2 * one);
+        assert_eq!(cache.summary().trace_evictions, 0, "the reset freed room");
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! * `golden/trace_v1.ctrc` — a few thousand ops from two generators,
 //!   written by `Trace::write_to` before micro-ops were compacted.
 //!
+//! It also checks that every generator's buffer holds exactly its ops
+//! (`Trace::heap_bytes`), the size the run cache's trace store counts.
+//!
 //! Both were blessed by running this file against the commit before the
 //! compaction. To re-bless after an intended generator or format change:
 //!
@@ -97,6 +100,23 @@ fn every_generator_emits_the_committed_ops() {
         );
     }
     assert_eq!(actual.lines().count(), golden.lines().count());
+}
+
+/// A trace's buffer is exactly its ops, with none of the builder's
+/// doubling slack: the run cache's trace store budgets these bytes.
+#[test]
+fn every_generator_returns_an_exact_capacity_buffer() {
+    for ops in [2_000, 80_000] {
+        for spec in suite::all() {
+            let trace = spec.generate(ops, SEED);
+            assert_eq!(
+                trace.heap_bytes(),
+                trace.len() * std::mem::size_of::<MicroOp>(),
+                "{} at {ops} ops",
+                spec.name
+            );
+        }
+    }
 }
 
 /// `FILE_OPS_EACH` ops of a pointer-chasing gather and of a server

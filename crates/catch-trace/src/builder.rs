@@ -225,8 +225,8 @@ impl TraceBuilder {
         self
     }
 
-    /// Finishes the trace. The trace keeps this builder's buffer; no op
-    /// is copied.
+    /// Finishes the trace. The trace keeps this builder's buffer, trimmed
+    /// to its length ([`Trace::from_parts`]); no op is copied.
     pub fn build(self) -> Trace {
         Trace::from_parts(self.name, self.category, self.ops)
     }
@@ -286,10 +286,27 @@ mod tests {
         for _ in 0..1000 {
             b.nop();
         }
+        // Trim first, so that build()'s own trim has nothing to do and
+        // the pointer pin does not depend on whether the allocator
+        // shrinks in place.
+        b.ops.shrink_to_fit();
+        assert_eq!(b.ops.capacity(), b.ops.len());
         let buffer = b.ops.as_ptr();
         let t = b.build();
         assert_eq!(t.ops().as_ptr(), buffer, "build() copied the ops");
         assert_eq!(t.clone().ops().as_ptr(), buffer, "clone() copied the ops");
+    }
+
+    #[test]
+    fn build_trims_the_doubling_slack() {
+        let mut b = TraceBuilder::new("t");
+        for _ in 0..1000 {
+            b.nop();
+        }
+        assert!(b.ops.capacity() > b.ops.len(), "doubling left no slack");
+        let t = b.build();
+        assert_eq!(t.len(), 1000);
+        assert_eq!(t.heap_bytes(), 1000 * std::mem::size_of::<MicroOp>());
     }
 
     #[test]

@@ -61,14 +61,19 @@ pub struct Trace {
     name: String,
     category: Category,
     /// The builder's own `Vec`, shared as is: building a trace never
-    /// copies its ops into a second buffer.
+    /// copies its ops into a second buffer. Its capacity equals its
+    /// length (see [`Trace::heap_bytes`]).
     ops: Arc<Vec<MicroOp>>,
 }
 
 impl Trace {
-    /// Creates a trace from parts, keeping `ops`' buffer. Prefer
+    /// Creates a trace from parts, keeping `ops`' buffer trimmed to its
+    /// length: a builder grows its `Vec` by doubling, so an untrimmed
+    /// buffer holds up to twice the ops it carries. Shrinking in place
+    /// copies no op on the common allocators. Prefer
     /// [`crate::TraceBuilder`].
-    pub fn from_parts(name: impl Into<String>, category: Category, ops: Vec<MicroOp>) -> Self {
+    pub fn from_parts(name: impl Into<String>, category: Category, mut ops: Vec<MicroOp>) -> Self {
+        ops.shrink_to_fit();
         Trace {
             name: name.into(),
             category,
@@ -99,6 +104,12 @@ impl Trace {
     /// True if the trace holds no ops.
     pub fn is_empty(&self) -> bool {
         self.ops.is_empty()
+    }
+
+    /// Heap bytes of the micro-op buffer: its capacity, not its length,
+    /// times the size of one op. Shared by every clone of the trace.
+    pub fn heap_bytes(&self) -> usize {
+        self.ops.capacity() * std::mem::size_of::<MicroOp>()
     }
 
     /// Computes summary statistics over the trace.

@@ -470,7 +470,8 @@ fn timeq_smoke(eval: &EvalConfig) -> ! {
 /// cache directory, hard-fail unless the warm pass is ≥ `MIN_SPEEDUP`×
 /// faster with byte-identical reports and was served from the disk
 /// entries alone (a pass that quietly recomputes can still be fast and
-/// byte-identical at a small scale).
+/// byte-identical at a small scale). Either pass evicting a trace also
+/// fails it: the registry must fit the run cache's trace store.
 fn cache_smoke(eval: &EvalConfig) -> ! {
     const MIN_SPEEDUP: f64 = 2.0;
     let cache = RunCache::global();
@@ -513,6 +514,7 @@ fn cache_smoke(eval: &EvalConfig) -> ! {
     let loaded = after_warm.disk_hits - after_cold.disk_hits;
     let recomputed = after_warm.misses - after_cold.misses;
     let warnings = after_warm.disk_warnings - after_cold.disk_warnings;
+    let evicted = after_warm.trace_evictions - before.trace_evictions;
     let speedup = cold_secs / warm_secs.max(1e-9);
     println!(
         "cache-smoke: {} experiments, cold {cold_secs:.1}s, warm {warm_secs:.1}s, \
@@ -534,6 +536,11 @@ fn cache_smoke(eval: &EvalConfig) -> ! {
     if warnings != 0 {
         failures.push(format!(
             "warm pass met {warnings} unreadable or corrupt entries"
+        ));
+    }
+    if evicted != 0 {
+        failures.push(format!(
+            "the passes evicted {evicted} traces: the registry outgrew the trace store"
         ));
     }
     if loaded != touched {
