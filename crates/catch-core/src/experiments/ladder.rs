@@ -13,6 +13,7 @@
 use super::{run_one, EvalConfig, Fidelity};
 use crate::metrics::RunResult;
 use crate::report::{ExperimentReport, Table, ValueKind};
+use crate::runcache::RunCache;
 use crate::system::{System, SystemConfig};
 use catch_workloads::suite;
 
@@ -125,8 +126,10 @@ fn errors_vs(rung: &RunResult, full: &RunResult, workload: &'static str) -> Rung
 /// Runs all three rungs on the golden six at `eval`'s scale (whatever
 /// fidelity `eval` itself names is ignored — the ladder compares rungs)
 /// and returns the per-counter errors. Every run resolves through the
-/// process-wide run cache under its own rung-tagged fingerprint.
+/// process-wide run cache under its own rung-tagged fingerprint; the
+/// three rungs replay one shared trace per workload.
 pub fn ladder_errors(eval: &EvalConfig) -> LadderErrors {
+    let _traces = RunCache::global().lease(eval.ops, eval.seed);
     let system = System::new(SystemConfig::baseline_exclusive());
     let mut fast = Vec::new();
     let mut lite = Vec::new();

@@ -216,8 +216,9 @@ pub fn run_suite(config: &SystemConfig, eval: &EvalConfig) -> Vec<RunResult> {
 /// worker count (`None` defers to [`Runner::from_env`]).
 ///
 /// Each (workload, config) job resolves through the process-wide
-/// [`RunCache`]: traces are generated once per (workload, ops, seed) and
-/// shared, and structurally identical (config, eval, workload) requests
+/// [`RunCache`]: the call leases its traces, so each is generated once
+/// per call (and shared with an enclosing or concurrent call at the same
+/// scale), and structurally identical (config, eval, workload) requests
 /// simulate once per process (or once per cache directory with
 /// `CATCH_RUN_CACHE=<dir>`). Simulations run on private core +
 /// hierarchy state, so worker count and scheduling cannot affect any
@@ -239,6 +240,7 @@ pub fn run_suite_parallel(
         Some(n) => Runner::with_jobs(n),
         None => Runner::from_env().unwrap_or_else(|e| panic!("{e}")),
     };
+    let _traces = RunCache::global().lease(eval.ops, eval.seed);
     let system = System::new(config.clone());
     let runs = SuiteRuns::new(&system, eval);
     let workloads = catch_workloads::suite::all();
@@ -269,7 +271,8 @@ impl<'a> SuiteRuns<'a> {
     }
 
     /// The memoized result when the structural key is already known, a
-    /// fresh simulation (on a store-shared trace) otherwise.
+    /// fresh simulation (on the trace the caller's lease shares)
+    /// otherwise.
     pub(crate) fn run(&self, spec: &WorkloadSpec) -> RunResult {
         let (system, eval) = (self.system, self.eval);
         let cache = RunCache::global();
@@ -331,7 +334,8 @@ pub fn suite_requests(id: &str) -> Vec<SystemConfig> {
 /// experiment is collected up front via [`suite_requests`], fingerprinted,
 /// deduplicated, executed once on the parallel [`Runner`] (warming the
 /// process-wide [`RunCache`]), and then each experiment assembles its
-/// report entirely from cache hits.
+/// report entirely from cache hits. One trace lease covers all of it, so
+/// each workload's trace is generated at most once per call.
 ///
 /// Cross-experiment sharing falls out of the structural keys: fig10's
 /// `CATCH` row, fig12's S-curve column and sec6d2's 32-entry row are the
@@ -351,6 +355,7 @@ pub fn run_all(
         Some(n) => Runner::with_jobs(n),
         None => Runner::from_env().unwrap_or_else(|e| panic!("{e}")),
     };
+    let _traces = RunCache::global().lease(eval.ops, eval.seed);
     let workloads = catch_workloads::suite::all();
 
     // Phase 1: collect every needed (config, workload) job, deduplicated
@@ -434,12 +439,14 @@ pub fn all_ids() -> Vec<&'static str> {
     ]
 }
 
-/// Runs an experiment by id.
+/// Runs an experiment by id. Its configurations share one generation of
+/// each trace, which lives until the call returns.
 ///
 /// # Panics
 ///
 /// Panics on unknown ids (see [`all_ids`]).
 pub fn run(id: &str, eval: &EvalConfig) -> ExperimentReport {
+    let _traces = RunCache::global().lease(eval.ops, eval.seed);
     match id {
         "fig1" => fig01_remove_l2(eval),
         "fig2" => fig02_ddg_example(),

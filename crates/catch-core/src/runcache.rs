@@ -19,14 +19,13 @@
 //!   block on the first requester's computation instead of racing a
 //!   duplicate simulation. A panicking computation marks its slot failed
 //!   and wakes waiters so one of them retries.
-//! * **Trace store** — traces are generated once per
-//!   (workload, ops, seed); every configuration that replays one gets a
-//!   [`Trace`] handle onto the same micro-op buffer. The store holds at
-//!   most 128 MiB of buffers ([`Trace::heap_bytes`], capacity not
-//!   length): an insertion over budget drops the least recently
-//!   requested ready traces, counted in
-//!   [`CacheSummary::trace_evictions`]. An evicted trace regenerates bit
-//!   for bit on its next request; handles already out keep theirs alive.
+//! * **Trace lifetime** — a trace lives as long as the call that
+//!   replays it. A call takes a [`TraceLease`] on its (ops, seed) pair
+//!   ([`RunCache::lease`]); while one is live, each workload's trace is
+//!   generated at most once and every configuration that replays it gets
+//!   a [`Trace`] handle onto the same micro-op buffer. Nested and
+//!   concurrent leases on one pair share one set. When the last lease
+//!   drops, so do its traces; a later call regenerates them bit for bit.
 //! * **Disk persistence** — with `CATCH_RUN_CACHE=<dir>`, finished runs
 //!   are serialised through the first-party JSON writer
 //!   ([`crate::report::json`]) together with an integrity hash over the
@@ -56,7 +55,7 @@ use std::fmt::{self, Write as _};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 
 /// Environment variable selecting the cache mode: unset (or empty) keeps
 /// the in-memory cache, `off`/`0` disables caching entirely, and any
@@ -145,9 +144,6 @@ enum SlotState<V> {
 struct Slot<V> {
     state: Mutex<SlotState<V>>,
     ready: Condvar,
-    /// Clock reading of the latest request for this key: the LRU order.
-    /// Read and written only under the map lock, which orders it.
-    last_use: AtomicU64,
 }
 
 /// Marks the slot failed if the computation unwinds, so waiters retry
@@ -172,88 +168,45 @@ enum Found {
     /// Already ready, or computed by a concurrent requester this call
     /// waited on.
     Hit,
-    /// Computed by this call; inserting it evicted this many colder
-    /// values.
-    Computed { evicted: u64 },
-}
-
-/// The memo map proper, with the byte count of its ready values.
-struct Slots<K, V> {
-    map: HashMap<K, Arc<Slot<V>>>,
-    /// Summed weight of the values inserted and not yet evicted.
-    bytes: usize,
-    /// Ticks once per request; stamps [`Slot::last_use`].
-    clock: u64,
+    /// Computed by this call.
+    Computed,
 }
 
 /// A concurrency-safe memo map with single-flight deduplication: the
 /// first requester of a key computes; concurrent requesters block until
 /// the value is ready and share it.
-///
-/// A bounded map also keeps the summed `weigh` of its ready values at or
-/// under `budget` bytes: when an insertion pushes it over, the least
-/// recently requested *ready* values are dropped until it fits again. An
-/// in-flight computation is never evicted, and neither is the value just
-/// inserted, so a value larger than the whole budget is still returned
-/// and stays until the next insertion. A hit costs one stamp; only an
-/// insertion over budget scans.
 struct SingleFlight<K, V> {
-    slots: Mutex<Slots<K, V>>,
-    budget: usize,
-    weigh: fn(&V) -> usize,
+    slots: Mutex<HashMap<K, Arc<Slot<V>>>>,
 }
 
 impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
-    /// A map that never evicts.
-    fn unbounded() -> Self {
-        SingleFlight::bounded(usize::MAX, |_| 0)
-    }
-
-    /// A map whose ready values, weighed by `weigh`, stay within `budget`.
-    fn bounded(budget: usize, weigh: fn(&V) -> usize) -> Self {
+    fn new() -> Self {
         SingleFlight {
-            slots: Mutex::new(Slots {
-                map: HashMap::new(),
-                bytes: 0,
-                clock: 0,
-            }),
-            budget,
-            weigh,
+            slots: Mutex::new(HashMap::new()),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Slots<K, V>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<K, Arc<Slot<V>>>> {
         self.slots.lock().expect("memo map poisoned")
     }
 
     fn clear(&self) {
-        let mut slots = self.lock();
-        slots.map.clear();
-        slots.bytes = 0;
+        self.lock().clear();
     }
 
     /// Returns the memoized value and how this call found it.
     fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, Found) {
         let mut compute = Some(compute);
         loop {
-            let (slot, is_computer) = {
-                let mut slots = self.lock();
-                slots.clock += 1;
-                let now = slots.clock;
-                match slots.map.entry(key.clone()) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        e.get().last_use.store(now, Ordering::Relaxed);
-                        (e.get().clone(), false)
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let slot = Arc::new(Slot {
-                            state: Mutex::new(SlotState::InFlight),
-                            ready: Condvar::new(),
-                            last_use: AtomicU64::new(now),
-                        });
-                        e.insert(slot.clone());
-                        (slot, true)
-                    }
+            let (slot, is_computer) = match self.lock().entry(key.clone()) {
+                std::collections::hash_map::Entry::Occupied(e) => (e.get().clone(), false),
+                std::collections::hash_map::Entry::Vacant(e) => {
+                    let slot = Arc::new(Slot {
+                        state: Mutex::new(SlotState::InFlight),
+                        ready: Condvar::new(),
+                    });
+                    e.insert(slot.clone());
+                    (slot, true)
                 }
             };
             if is_computer {
@@ -263,9 +216,9 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
                 };
                 let value = (compute.take().expect("computer runs once"))();
                 guard.armed = false;
-                let evicted = self.insert(&key, &slot, value.clone());
+                *slot.state.lock().expect("slot poisoned") = SlotState::Ready(value.clone());
                 slot.ready.notify_all();
-                return (value, Found::Computed { evicted });
+                return (value, Found::Computed);
             }
             let mut state = slot.state.lock().expect("slot poisoned");
             loop {
@@ -282,62 +235,26 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
             // computer.
             drop(state);
             let mut slots = self.lock();
-            if let Some(current) = slots.map.get(&key) {
+            if let Some(current) = slots.get(&key) {
                 if Arc::ptr_eq(current, &slot) {
-                    slots.map.remove(&key);
+                    slots.remove(&key);
                 }
             }
         }
     }
+}
 
-    /// Makes `value` ready in `slot` and charges its weight, then evicts
-    /// down to the budget; returns the number evicted. The slot turns
-    /// ready under the map lock, so an eviction scan never sees a ready
-    /// value whose weight is not yet counted. A slot that
-    /// [`SingleFlight::clear`] dropped while it computed is served to its
-    /// waiters but not charged.
-    fn insert(&self, key: &K, slot: &Arc<Slot<V>>, value: V) -> u64 {
-        let weight = (self.weigh)(&value);
-        let mut slots = self.lock();
-        *slot.state.lock().expect("slot poisoned") = SlotState::Ready(value);
-        if !slots.map.get(key).is_some_and(|s| Arc::ptr_eq(s, slot)) {
-            return 0;
-        }
-        slots.bytes += weight;
-        if slots.bytes <= self.budget {
-            return 0;
-        }
-        let mut coldest: Vec<(u64, K, usize)> = slots
-            .map
-            .iter()
-            .filter(|(k, _)| *k != key)
-            .filter_map(|(k, s)| match &*s.state.lock().expect("slot poisoned") {
-                SlotState::Ready(v) => Some((
-                    s.last_use.load(Ordering::Relaxed),
-                    k.clone(),
-                    (self.weigh)(v),
-                )),
-                _ => None,
-            })
-            .collect();
-        coldest.sort_unstable_by_key(|&(last_use, _, _)| last_use);
-        let mut evicted = 0;
-        for (_, k, weight) in coldest {
-            if slots.bytes <= self.budget {
-                break;
-            }
-            slots.map.remove(&k);
-            slots.bytes -= weight;
-            evicted += 1;
-        }
-        evicted
-    }
+/// The traces the live leases on one (ops, seed) pair share: a slot per
+/// workload, each filled at most once. A slot is an `Arc` so that its
+/// generation runs without the set's lock held.
+type TraceSet = Mutex<HashMap<&'static str, Arc<OnceLock<Trace>>>>;
 
-    /// Summed weight of the ready values held.
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        self.lock().bytes
-    }
+/// A call's claim on the traces of one (ops, seed) pair (see
+/// [`RunCache::lease`]). The traces live until the last lease on the pair
+/// drops; [`Trace`] handles already given out keep their buffers alive.
+#[must_use = "traces are shared only while the lease is held"]
+pub struct TraceLease {
+    _set: Arc<TraceSet>,
 }
 
 /// Where cached results live.
@@ -370,13 +287,10 @@ pub struct CacheSummary {
     pub hits: u64,
     /// Simulation requests that actually simulated.
     pub misses: u64,
-    /// Trace requests served from the shared store.
+    /// Trace requests served from a live lease's set.
     pub trace_hits: u64,
     /// Trace requests that generated.
     pub trace_misses: u64,
-    /// Traces dropped from the store to keep it within its byte budget
-    /// (each regenerates on its next request).
-    pub trace_evictions: u64,
     /// Results loaded from disk instead of simulating.
     pub disk_hits: u64,
     /// Results persisted to disk.
@@ -394,16 +308,16 @@ impl fmt::Display for CacheSummary {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "run cache: {} hits / {} misses (traces {} reused / {} built",
-            self.hits, self.misses, self.trace_hits, self.trace_misses,
-        )?;
-        if self.trace_evictions > 0 {
-            write!(f, " / {} evicted", self.trace_evictions)?;
-        }
-        write!(
-            f,
-            "), disk {} loaded / {} stored, {} B read / {} B written",
-            self.disk_hits, self.disk_stores, self.bytes_read, self.bytes_written
+            "run cache: {} hits / {} misses (traces {} reused / {} built), \
+             disk {} loaded / {} stored, {} B read / {} B written",
+            self.hits,
+            self.misses,
+            self.trace_hits,
+            self.trace_misses,
+            self.disk_hits,
+            self.disk_stores,
+            self.bytes_read,
+            self.bytes_written
         )?;
         if self.disk_warnings > 0 {
             write!(f, ", {} disk warnings", self.disk_warnings)?;
@@ -418,7 +332,6 @@ struct Activity {
     misses: AtomicU64,
     trace_hits: AtomicU64,
     trace_misses: AtomicU64,
-    trace_evictions: AtomicU64,
     disk_hits: AtomicU64,
     disk_stores: AtomicU64,
     bytes_read: AtomicU64,
@@ -430,16 +343,12 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// Heap bytes the trace store may hold before it evicts (DESIGN.md §10
-/// "Trace store"): a standard-scale registry's traces fit with room to
-/// spare, so only a stream of unseen seeds is ever evicted.
-const TRACE_STORE_BYTES: usize = 128 << 20;
-
 /// The process-wide run cache (see the module docs).
 pub struct RunCache {
     mode: Mutex<CacheMode>,
     results: SingleFlight<u128, Arc<RunResult>>,
-    traces: SingleFlight<(String, usize, u64), Trace>,
+    /// The trace set of every (ops, seed) pair some lease may still hold.
+    leases: Mutex<HashMap<(usize, u64), Weak<TraceSet>>>,
     activity: Activity,
     disk_warned: AtomicBool,
 }
@@ -449,15 +358,10 @@ static GLOBAL: OnceLock<RunCache> = OnceLock::new();
 impl RunCache {
     /// A fresh, empty cache in the given mode.
     pub fn new(mode: CacheMode) -> Self {
-        RunCache::with_trace_budget(mode, TRACE_STORE_BYTES)
-    }
-
-    /// [`RunCache::new`] with a trace store of `budget` heap bytes.
-    fn with_trace_budget(mode: CacheMode, budget: usize) -> Self {
         RunCache {
             mode: Mutex::new(mode),
-            results: SingleFlight::unbounded(),
-            traces: SingleFlight::bounded(budget, Trace::heap_bytes),
+            results: SingleFlight::new(),
+            leases: Mutex::new(HashMap::new()),
             activity: Activity::default(),
             disk_warned: AtomicBool::new(false),
         }
@@ -481,11 +385,11 @@ impl RunCache {
         *self.mode.lock().expect("mode poisoned") = mode;
     }
 
-    /// Drops every memoized result and trace (activity counters keep
-    /// accumulating). Lets one process measure a cold-vs-warm-disk pass.
+    /// Drops every memoized result (activity counters keep accumulating;
+    /// traces already go with the leases that hold them). Lets one
+    /// process measure a cold-vs-warm-disk pass.
     pub fn reset_memory(&self) {
         self.results.clear();
-        self.traces.clear();
     }
 
     /// Snapshot of the activity counters.
@@ -497,7 +401,6 @@ impl RunCache {
             misses: get(&a.misses),
             trace_hits: get(&a.trace_hits),
             trace_misses: get(&a.trace_misses),
-            trace_evictions: get(&a.trace_evictions),
             disk_hits: get(&a.disk_hits),
             disk_stores: get(&a.disk_stores),
             bytes_read: get(&a.bytes_read),
@@ -506,26 +409,70 @@ impl RunCache {
         }
     }
 
-    /// The shared trace for (workload, ops, seed): generated once while it
-    /// stays in the store; every caller gets a handle onto the same
-    /// micro-op buffer. A trace the store evicted regenerates, bit for
-    /// bit, and handles already given out keep the old buffer alive.
+    /// Shares the traces of (ops, seed) until the returned lease, and
+    /// every other lease on the pair, drops. Takes no trace itself: each
+    /// one is generated on its first [`RunCache::trace`] request.
+    pub fn lease(&self, ops: usize, seed: u64) -> TraceLease {
+        let mut leases = self.leases.lock().expect("lease map poisoned");
+        leases.retain(|_, set| set.strong_count() > 0);
+        let set = leases
+            .get(&(ops, seed))
+            .and_then(Weak::upgrade)
+            .unwrap_or_else(|| {
+                let set = Arc::default();
+                leases.insert((ops, seed), Arc::downgrade(&set));
+                set
+            });
+        TraceLease { _set: set }
+    }
+
+    /// The trace for (workload, ops, seed). Under a live lease on
+    /// (ops, seed) it is generated once and every caller gets a handle
+    /// onto the same micro-op buffer; without one (or in
+    /// [`CacheMode::Off`]) it is generated afresh and kept by no one.
     pub fn trace(&self, spec: &WorkloadSpec, ops: usize, seed: u64) -> Trace {
-        if self.is_off() {
+        self.trace_with(spec.name, ops, seed, || spec.generate(ops, seed))
+    }
+
+    /// [`RunCache::trace`] with the generator passed in.
+    fn trace_with(
+        &self,
+        workload: &'static str,
+        ops: usize,
+        seed: u64,
+        generate: impl FnOnce() -> Trace,
+    ) -> Trace {
+        let set = if self.is_off() {
+            None
+        } else {
+            let leases = self.leases.lock().expect("lease map poisoned");
+            leases.get(&(ops, seed)).and_then(Weak::upgrade)
+        };
+        let Some(set) = set else {
             bump(&self.activity.trace_misses);
-            return spec.generate(ops, seed);
-        }
-        let key = (spec.name.to_string(), ops, seed);
-        let (trace, found) = self.traces.get_or_compute(key, || spec.generate(ops, seed));
-        match found {
-            Found::Hit => bump(&self.activity.trace_hits),
-            Found::Computed { evicted } => {
-                bump(&self.activity.trace_misses);
-                self.activity
-                    .trace_evictions
-                    .fetch_add(evicted, Ordering::Relaxed);
-            }
-        }
+            return generate();
+        };
+        let slot = set
+            .lock()
+            .expect("trace set poisoned")
+            .entry(workload)
+            .or_default()
+            .clone();
+        // `OnceLock` is the single flight: concurrent requests wait for
+        // one generation, and a generator that panics leaves the slot
+        // empty for the next request to retry.
+        let mut generated = false;
+        let trace = slot
+            .get_or_init(|| {
+                generated = true;
+                generate()
+            })
+            .clone();
+        bump(if generated {
+            &self.activity.trace_misses
+        } else {
+            &self.activity.trace_hits
+        });
         trace
     }
 
@@ -853,7 +800,7 @@ mod tests {
 
     #[test]
     fn single_flight_computes_once_across_threads() {
-        let flight: SingleFlight<u64, u64> = SingleFlight::unbounded();
+        let flight: SingleFlight<u64, u64> = SingleFlight::new();
         let computed = AtomicUsize::new(0);
         std::thread::scope(|scope| {
             for _ in 0..8 {
@@ -872,7 +819,7 @@ mod tests {
 
     #[test]
     fn single_flight_recovers_from_panicking_computer() {
-        let flight: SingleFlight<u64, u64> = SingleFlight::unbounded();
+        let flight: SingleFlight<u64, u64> = SingleFlight::new();
         let waiter_value = std::thread::scope(|scope| {
             let waiter = scope.spawn(|| {
                 // Give the panicking computer time to claim the slot.
@@ -890,130 +837,76 @@ mod tests {
 
     #[test]
     fn off_mode_always_computes() {
-        // A budget below one trace changes nothing: off mode stores none.
-        let cache = RunCache::with_trace_budget(CacheMode::Off, 1);
+        let cache = RunCache::new(CacheMode::Off);
         let spec = catch_workloads::suite::by_name("linpack_like").expect("known");
+        let _lease = cache.lease(400, 1);
         let a = cache.trace(&spec, 400, 1);
         let b = cache.trace(&spec, 400, 1);
-        assert!(!shares_ops(&a, &b), "off mode must not share traces");
-        let summary = cache.summary();
-        assert_eq!(summary.trace_misses, 2);
-        assert_eq!(summary.trace_evictions, 0);
-        assert_eq!(cache.traces.bytes(), 0);
+        assert!(
+            !shares_ops(&a, &b),
+            "off mode must not share traces, leased or not"
+        );
+        assert_eq!(cache.summary().trace_misses, 2);
     }
 
     #[test]
-    fn bounded_flight_never_evicts_in_flight_or_just_inserted() {
-        let flight: SingleFlight<u64, usize> = SingleFlight::bounded(10, |&w| w);
-        let flight = &flight;
-        let (started_tx, started_rx) = std::sync::mpsc::channel();
-        let (finish_tx, finish_rx) = std::sync::mpsc::channel::<()>();
-        // `move`: a failed assertion drops `finish_tx`, which releases the
-        // slow computer instead of leaving the scope waiting on it.
-        std::thread::scope(move |scope| {
-            let slow = scope.spawn(move || {
-                flight.get_or_compute(1, move || {
-                    started_tx.send(()).expect("main thread listens");
-                    finish_rx.recv().expect("main thread releases");
-                    4
-                })
-            });
-            started_rx.recv().expect("slow computer started");
-            assert_eq!(
-                flight.get_or_compute(2, || 30),
-                (30, Found::Computed { evicted: 0 }),
-                "over budget alone: kept, and key 1 is still in flight"
-            );
-            finish_tx.send(()).expect("slow computer waits");
-            assert_eq!(
-                slow.join().expect("no panic"),
-                (4, Found::Computed { evicted: 1 }),
-                "key 1's insertion drops the colder key 2"
-            );
-        });
-        assert_eq!(flight.bytes(), 4);
-        assert_eq!(flight.get_or_compute(1, || 99), (4, Found::Hit));
-        assert_eq!(
-            flight.get_or_compute(2, || 30).1,
-            Found::Computed { evicted: 1 }
+    fn one_lease_shares_one_buffer_and_so_do_nested_leases() {
+        let cache = RunCache::new(CacheMode::Memory);
+        let spec = catch_workloads::suite::by_name("astar_like").expect("known");
+        let outer = cache.lease(400, 1);
+        let a = cache.trace(&spec, 400, 1);
+        assert!(
+            shares_ops(&a, &cache.trace(&spec, 400, 1)),
+            "one generation"
         );
-    }
-
-    /// A memory cache whose trace store holds two of `spec`'s 400-op
-    /// traces but not three, and the heap bytes of one.
-    fn two_trace_cache(spec: &WorkloadSpec) -> (RunCache, usize) {
-        let one = spec.generate(400, 1).heap_bytes();
-        for seed in 2..=3 {
-            assert_eq!(spec.generate(400, seed).heap_bytes(), one, "seed {seed}");
+        {
+            let _inner = cache.lease(400, 1);
+            assert!(
+                shares_ops(&a, &cache.trace(&spec, 400, 1)),
+                "a nested lease joins the set"
+            );
         }
-        let cache = RunCache::with_trace_budget(CacheMode::Memory, 2 * one + one / 2);
-        (cache, one)
-    }
-
-    #[test]
-    fn evicted_traces_regenerate_bit_identically() {
-        let spec = catch_workloads::suite::by_name("astar_like").expect("known");
-        let (cache, one) = two_trace_cache(&spec);
-        let _ = cache.trace(&spec, 400, 1);
-        let first_two = cache.trace(&spec, 400, 2);
-        let _ = cache.trace(&spec, 400, 1); // seed 2 is now the coldest
-        assert_eq!(cache.summary().trace_evictions, 0, "two traces fit");
-        let three = cache.trace(&spec, 400, 3);
-        assert_eq!(cache.summary().trace_evictions, 1, "seed 2 dropped");
-        assert_eq!(cache.traces.bytes(), 2 * one);
-
-        let again_two = cache.trace(&spec, 400, 2); // drops seed 1
-        assert!(!shares_ops(&first_two, &again_two), "regenerated");
-        assert_eq!(first_two.ops(), again_two.ops(), "op for op");
         assert!(
-            shares_ops(&three, &cache.trace(&spec, 400, 3)),
-            "seed 3 kept"
+            shares_ops(&a, &cache.trace(&spec, 400, 1)),
+            "the outer lease still holds it"
         );
-
+        assert!(
+            !shares_ops(&a, &cache.trace(&spec, 400, 2)),
+            "another seed is another set"
+        );
+        drop(outer);
         let summary = cache.summary();
-        assert_eq!(
-            (
-                summary.trace_misses,
-                summary.trace_hits,
-                summary.trace_evictions
-            ),
-            (4, 2, 2)
-        );
-        assert_eq!(cache.traces.bytes(), 2 * one);
-        assert!(summary
-            .to_string()
-            .contains("(traces 2 reused / 4 built / 2 evicted)"));
+        assert_eq!((summary.trace_misses, summary.trace_hits), (2, 3));
+        assert!(summary.to_string().contains("(traces 3 reused / 2 built)"));
     }
 
     #[test]
-    fn a_trace_over_the_whole_budget_stays_until_the_next_insertion() {
+    fn a_new_lease_regenerates_bit_identically() {
+        let cache = RunCache::new(CacheMode::Memory);
         let spec = catch_workloads::suite::by_name("astar_like").expect("known");
-        let one = spec.generate(400, 1).heap_bytes();
-        let cache = RunCache::with_trace_budget(CacheMode::Memory, one / 2);
-        let big = cache.trace(&spec, 400, 1);
-        assert!(!big.is_empty());
-        assert!(shares_ops(&big, &cache.trace(&spec, 400, 1)), "resident");
-        assert_eq!(cache.summary().trace_evictions, 0);
-        assert_eq!(cache.traces.bytes(), one);
-        let _ = cache.trace(&spec, 400, 2);
-        assert_eq!(
-            cache.summary().trace_evictions,
-            1,
-            "the next insertion drops it"
-        );
-        assert_eq!(cache.traces.bytes(), one);
+        let lease = cache.lease(400, 1);
+        let first = cache.trace(&spec, 400, 1);
+        drop(lease);
+        let _lease = cache.lease(400, 1);
+        let again = cache.trace(&spec, 400, 1);
         assert!(
-            !shares_ops(&big, &cache.trace(&spec, 400, 1)),
-            "regenerated"
+            !shares_ops(&first, &again),
+            "the last lease took its traces"
+        );
+        assert_eq!(first.ops(), again.ops(), "op for op");
+        assert_eq!(cache.summary().trace_misses, 2);
+        assert_eq!(
+            cache.leases.lock().expect("not poisoned").len(),
+            1,
+            "the dead set was pruned"
         );
     }
 
     #[test]
-    fn single_flight_survives_eviction() {
+    fn one_lease_generates_once_across_threads() {
+        let cache = RunCache::new(CacheMode::Memory);
         let spec = catch_workloads::suite::by_name("astar_like").expect("known");
-        let (cache, _) = two_trace_cache(&spec);
-        let _ = cache.trace(&spec, 400, 1);
-        let _ = cache.trace(&spec, 400, 2);
+        let _lease = cache.lease(400, 3);
         let start = std::sync::Barrier::new(8);
         let traces: Vec<Trace> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..8)
@@ -1032,35 +925,50 @@ mod tests {
         assert!(traces.iter().all(|t| shares_ops(t, &traces[0])));
         let summary = cache.summary();
         assert_eq!(
-            (
-                summary.trace_misses,
-                summary.trace_hits,
-                summary.trace_evictions
-            ),
-            (3, 7, 1),
-            "eight requests, one generation, one eviction"
+            (summary.trace_misses, summary.trace_hits),
+            (1, 7),
+            "eight requests, one generation"
         );
     }
 
     #[test]
-    fn reset_memory_empties_the_byte_count() {
+    fn a_panicking_generator_leaves_the_slot_retryable() {
+        let cache = RunCache::new(CacheMode::Memory);
         let spec = catch_workloads::suite::by_name("astar_like").expect("known");
-        let (cache, one) = two_trace_cache(&spec);
-        let _ = cache.trace(&spec, 400, 1);
-        let _ = cache.trace(&spec, 400, 2);
-        assert_eq!(cache.traces.bytes(), 2 * one);
-        cache.reset_memory();
-        assert_eq!(cache.traces.bytes(), 0);
-        let _ = cache.trace(&spec, 400, 3);
-        let _ = cache.trace(&spec, 400, 1);
-        assert_eq!(cache.traces.bytes(), 2 * one);
-        assert_eq!(cache.summary().trace_evictions, 0, "the reset freed room");
+        let _lease = cache.lease(400, 1);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cache.trace_with(spec.name, 400, 1, || panic!("generator failed"))
+        }));
+        assert!(failed.is_err(), "the panic reaches its caller");
+        let retried = cache.trace(&spec, 400, 1);
+        assert!(
+            shares_ops(&retried, &cache.trace(&spec, 400, 1)),
+            "the retry filled it"
+        );
+        let summary = cache.summary();
+        assert_eq!((summary.trace_misses, summary.trace_hits), (1, 1));
+    }
+
+    #[test]
+    fn a_call_without_a_lease_keeps_nothing() {
+        let cache = RunCache::new(CacheMode::Memory);
+        let spec = catch_workloads::suite::by_name("linpack_like").expect("known");
+        let a = cache.trace(&spec, 400, 1);
+        assert!(!shares_ops(&a, &cache.trace(&spec, 400, 1)));
+        let _other = cache.lease(400, 2);
+        assert!(
+            !shares_ops(&a, &cache.trace(&spec, 400, 1)),
+            "a lease on another seed does not cover it"
+        );
+        let summary = cache.summary();
+        assert_eq!((summary.trace_misses, summary.trace_hits), (3, 0));
     }
 
     #[test]
     fn memory_mode_shares_traces_and_results() {
         let cache = RunCache::new(CacheMode::Memory);
         let spec = catch_workloads::suite::by_name("linpack_like").expect("known");
+        let _lease = cache.lease(400, 1);
         let a = cache.trace(&spec, 400, 1);
         let b = cache.trace(&spec, 400, 1);
         assert!(

@@ -12,9 +12,11 @@
 //!   onto the registry's parallel [`Runner`]; workers pull jobs from the
 //!   shared atomic cursor, so a slow point never convoys the sweep.
 //! * **Run-cache composition** — every simulation resolves through the
-//!   process-wide [`RunCache`](crate::RunCache), so points shared with
-//!   registry experiments (or an earlier sweep at the same scale) cost
-//!   nothing, and `eval.sample` buys sampled fidelity per point.
+//!   process-wide [`RunCache`], so points shared with registry
+//!   experiments (or an earlier sweep at the same scale) cost nothing,
+//!   and `eval.sample` buys sampled fidelity per point. The sweep leases
+//!   the traces of each scale it runs, so every point replays one
+//!   generation of each workload's trace.
 //! * **Checkpoint journal** — with [`SweepOptions::checkpoint`] set,
 //!   each point's aggregate metrics are appended to a line-oriented
 //!   journal the moment its last workload retires; a later invocation
@@ -67,7 +69,7 @@ use crate::energy::{energy_of, EnergyConstants};
 use crate::experiments::{run_one, EvalConfig, Fidelity, Runner, GOLDEN_WORKLOADS};
 use crate::metrics::try_geomean;
 use crate::report::ExperimentReport;
-use crate::runcache::{fp128, Fingerprint, SCHEMA_VERSION};
+use crate::runcache::{fp128, Fingerprint, RunCache, SCHEMA_VERSION};
 use crate::system::{System, SystemConfig};
 use catch_cache::{CacheConfig, Level};
 use catch_workloads::WorkloadSpec;
@@ -586,6 +588,7 @@ pub fn run_sweep(
     // any frontier decision is made. The reference validations always
     // run at the caller's full scale.
     let rung_eval = if ladder { eval.screened() } else { *eval };
+    let _traces = [rung_eval, ooo_eval].map(|e| RunCache::global().lease(e.ops, e.seed));
 
     let sweep_fp = sweep_fingerprint(spec, eval);
     let point_fps: Vec<Fingerprint> = points

@@ -278,13 +278,12 @@ impl Request {
 fn cache_to_json(c: &CacheSummary) -> String {
     format!(
         "{{\"hits\":{},\"misses\":{},\"trace_hits\":{},\"trace_misses\":{},\
-         \"trace_evictions\":{},\"disk_hits\":{},\"disk_stores\":{},\"disk_warnings\":{},\
+         \"disk_hits\":{},\"disk_stores\":{},\"disk_warnings\":{},\
          \"bytes_read\":{},\"bytes_written\":{}}}",
         c.hits,
         c.misses,
         c.trace_hits,
         c.trace_misses,
-        c.trace_evictions,
         c.disk_hits,
         c.disk_stores,
         c.disk_warnings,
@@ -299,7 +298,6 @@ fn cache_from_json(v: &JsonValue) -> Result<CacheSummary, String> {
         misses: get_num(v, "misses")?,
         trace_hits: get_num(v, "trace_hits")?,
         trace_misses: get_num(v, "trace_misses")?,
-        trace_evictions: get_num(v, "trace_evictions")?,
         disk_hits: get_num(v, "disk_hits")?,
         disk_stores: get_num(v, "disk_stores")?,
         disk_warnings: get_num(v, "disk_warnings")?,
@@ -507,7 +505,6 @@ mod tests {
                 cache: CacheSummary {
                     hits: 10,
                     misses: 11,
-                    trace_evictions: 16,
                     ..CacheSummary::default()
                 },
                 shards: ShardStats {

@@ -9,7 +9,7 @@
 //!   written by `Trace::write_to` before micro-ops were compacted.
 //!
 //! It also checks that every generator's buffer holds exactly its ops
-//! (`Trace::heap_bytes`), the size the run cache's trace store counts.
+//! (`Trace::heap_bytes`), the memory a call's leased traces hold.
 //!
 //! Both were blessed by running this file against the commit before the
 //! compaction. To re-bless after an intended generator or format change:
@@ -103,7 +103,7 @@ fn every_generator_emits_the_committed_ops() {
 }
 
 /// A trace's buffer is exactly its ops, with none of the builder's
-/// doubling slack: the run cache's trace store budgets these bytes.
+/// doubling slack: these are the bytes a call's leased traces hold.
 #[test]
 fn every_generator_returns_an_exact_capacity_buffer() {
     for ops in [2_000, 80_000] {

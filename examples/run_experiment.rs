@@ -78,6 +78,8 @@
 //! and exits non-zero unless the second pass is ≥ 2× faster, every
 //! report is byte-identical, and the second pass recomputed nothing, met
 //! no corrupt entry and loaded exactly the entries the first one left.
+//! The first pass must build each suite workload's trace once, the
+//! second none.
 //!
 //! The special id `timeq-smoke` is the CI cycle-engine parity gate: it
 //! runs one golden workload under the full CATCH configuration on both
@@ -470,8 +472,10 @@ fn timeq_smoke(eval: &EvalConfig) -> ! {
 /// cache directory, hard-fail unless the warm pass is ≥ `MIN_SPEEDUP`×
 /// faster with byte-identical reports and was served from the disk
 /// entries alone (a pass that quietly recomputes can still be fast and
-/// byte-identical at a small scale). Either pass evicting a trace also
-/// fails it: the registry must fit the run cache's trace store.
+/// byte-identical at a small scale). It also gates the trace lifetime:
+/// the cold pass's one `run_all` call builds each suite workload's trace
+/// exactly once (fewer on a directory that was already filled), and the
+/// warm pass, which simulates nothing, builds none.
 fn cache_smoke(eval: &EvalConfig) -> ! {
     const MIN_SPEEDUP: f64 = 2.0;
     let cache = RunCache::global();
@@ -509,12 +513,14 @@ fn cache_smoke(eval: &EvalConfig) -> ! {
 
     // Every entry the cold pass stored (or, on a directory that was
     // already filled, loaded) is what the warm pass must load.
-    let touched =
-        (after_cold.disk_stores - before.disk_stores) + (after_cold.disk_hits - before.disk_hits);
+    let cold_loaded = after_cold.disk_hits - before.disk_hits;
+    let touched = (after_cold.disk_stores - before.disk_stores) + cold_loaded;
     let loaded = after_warm.disk_hits - after_cold.disk_hits;
     let recomputed = after_warm.misses - after_cold.misses;
     let warnings = after_warm.disk_warnings - after_cold.disk_warnings;
-    let evicted = after_warm.trace_evictions - before.trace_evictions;
+    let workloads = suite::all().len() as u64;
+    let built_cold = after_cold.trace_misses - before.trace_misses;
+    let built_warm = after_warm.trace_misses - after_cold.trace_misses;
     let speedup = cold_secs / warm_secs.max(1e-9);
     println!(
         "cache-smoke: {} experiments, cold {cold_secs:.1}s, warm {warm_secs:.1}s, \
@@ -538,10 +544,13 @@ fn cache_smoke(eval: &EvalConfig) -> ! {
             "warm pass met {warnings} unreadable or corrupt entries"
         ));
     }
-    if evicted != 0 {
+    if built_cold > workloads || (cold_loaded == 0 && built_cold != workloads) {
         failures.push(format!(
-            "the passes evicted {evicted} traces: the registry outgrew the trace store"
+            "cold pass built {built_cold} traces, not one per suite workload ({workloads})"
         ));
+    }
+    if built_warm != 0 {
+        failures.push(format!("warm pass built {built_warm} traces"));
     }
     if loaded != touched {
         failures.push(format!(
