@@ -44,7 +44,12 @@ pub fn fig02_ddg_example() -> ExperimentReport {
         costs.push_row(*label, vec![node.e_cost() as f64, node.latency() as f64]);
     }
 
-    let path = g.walk_critical_path();
+    let mut path = Vec::new();
+    let mut critical = Vec::new();
+    g.walk_critical_path(|step, load| {
+        path.push(step);
+        critical.extend(load.map(|(pc, level)| format!("{pc} (hit {level})")));
+    });
     let mut walk = Table::new(
         "critical-path walk (youngest first)",
         vec!["instr #".into()],
@@ -58,12 +63,6 @@ pub fn fig02_ddg_example() -> ExperimentReport {
         };
         walk.push_row(format!("{kind} node"), vec![step.seq as f64 + 1.0]);
     }
-
-    let critical: Vec<String> = g
-        .critical_loads()
-        .iter()
-        .map(|(pc, level)| format!("{pc} (hit {level})"))
-        .collect();
 
     ExperimentReport {
         id: "fig2".into(),

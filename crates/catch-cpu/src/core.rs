@@ -587,8 +587,7 @@ impl Core {
             if self.retired >= self.critical_sync_at {
                 self.critical_sync_at = self.retired + CRITICAL_SYNC_INTERVAL;
                 if self.config.tact.data {
-                    let pcs = self.detector.critical_pcs();
-                    self.mem.note_critical_pcs(&pcs);
+                    self.mem.note_critical_pcs(self.detector.critical_pcs());
                 }
             }
         }
@@ -1100,6 +1099,36 @@ mod tests {
             events.iter().all(|e| e.core == 0),
             "events attributed to core 0"
         );
+    }
+
+    #[test]
+    fn only_the_feeder_builds_the_memory_image() {
+        // A serial pointer chase through an array: a feeder load, then a
+        // load at the pointer it returned, into an L2-resident set of
+        // lines.
+        let build = || {
+            let mut b = TraceBuilder::new("chase");
+            let top = b.label();
+            for i in 0..20_000u64 {
+                b.jump_to(top);
+                let ptr = 0x1000_0000 + (i * 7919 % 2048) * 64;
+                b.load_dep(r(1), Addr::new(0x10_0000 + i * 8), ptr, &[r(3)]);
+                b.load_dep(r(2), Addr::new(ptr), 0, &[r(1)]);
+                b.alu(r(3), &[r(2)]);
+                b.backedge(top, i != 19_999);
+            }
+            b.build()
+        };
+        let mut baseline = Core::new(0, build(), CoreConfig::baseline());
+        baseline.run_to_completion(&mut hier());
+        assert!(
+            !baseline.mem.image_built(),
+            "without TACT data prefetching the trace's loads are never hashed"
+        );
+        let mut catch = Core::new(0, build(), CoreConfig::catch());
+        let stats = catch.run_to_completion(&mut hier());
+        assert!(stats.tact.feeder_learned > 0, "{:?}", stats.tact);
+        assert!(catch.mem.image_built(), "the Feeder reads the image");
     }
 
     #[test]

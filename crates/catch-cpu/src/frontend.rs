@@ -66,8 +66,9 @@ pub struct Frontend {
     stall_until: u64,
     blocked_on_mispredict: bool,
     stats: FrontendStats,
-    /// Scratch for the runahead line walk (reused across stalls so the
-    /// per-cycle path allocates nothing).
+    /// Scratch for the runahead line walk, filtered in place down to the
+    /// lines to prefetch (reused across stalls so the per-cycle path
+    /// allocates nothing).
     runahead_scratch: Vec<LineAddr>,
 }
 
@@ -280,10 +281,9 @@ impl Frontend {
                 }
             }
         }
-        for line in self
-            .runahead
-            .on_stall(miss_line, self.runahead_scratch.drain(..))
-        {
+        self.runahead
+            .on_stall(miss_line, &mut self.runahead_scratch);
+        for &line in &self.runahead_scratch {
             self.stats.code_prefetches += 1;
             let out = hier.access(self.core_id, AccessKind::CodePrefetch, line, cycle);
             self.runahead

@@ -586,8 +586,7 @@ impl LiteCore {
             if self.retired >= self.critical_sync_at {
                 self.critical_sync_at = self.retired + CRITICAL_SYNC_INTERVAL;
                 if self.config.tact.data {
-                    let pcs = self.detector.critical_pcs();
-                    self.mem.note_critical_pcs(&pcs);
+                    self.mem.note_critical_pcs(self.detector.critical_pcs());
                 }
             }
 

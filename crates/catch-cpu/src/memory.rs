@@ -8,7 +8,7 @@ use catch_obs::{Event, EventClass, EventKind, Obs, ObsTactComponent};
 use catch_prefetch::{
     MemoryImage, StreamPrefetcher, StridePrefetcher, TactComponent, TactPrefetcher,
 };
-use catch_trace::{MicroOp, Pc};
+use catch_trace::{Addr, LineAddr, MicroOp, Pc};
 
 fn obs_component(component: TactComponent) -> ObsTactComponent {
     match component {
@@ -124,6 +124,10 @@ pub struct MemoryInterface {
     stream: StreamPrefetcher,
     tact: TactPrefetcher,
     image: MemoryImage,
+    /// Reused output buffers of the stream prefetcher and TACT, so a
+    /// load allocates nothing.
+    stream_lines: Vec<LineAddr>,
+    tact_prefetches: Vec<(Addr, TactComponent)>,
     stats: MemStats,
     obs: Obs,
 }
@@ -142,6 +146,8 @@ impl MemoryInterface {
             stream: StreamPrefetcher::new(16, 2, 8),
             tact: TactPrefetcher::new(config.tact_config.clone()),
             image,
+            stream_lines: Vec::new(),
+            tact_prefetches: Vec::new(),
             stats: MemStats::default(),
             obs: Obs::off(),
         }
@@ -164,10 +170,16 @@ impl MemoryInterface {
     }
 
     /// Propagates newly detected critical PCs to TACT.
-    pub fn note_critical_pcs(&mut self, pcs: &[Pc]) {
-        for &pc in pcs {
+    pub fn note_critical_pcs(&mut self, pcs: impl IntoIterator<Item = Pc>) {
+        for pc in pcs {
             self.tact.note_critical(pc);
         }
+    }
+
+    /// True once the Feeder has read the memory image (building it).
+    #[cfg(test)]
+    pub(crate) fn image_built(&self) -> bool {
+        self.image.is_built()
     }
 
     /// Register-flow tracking at allocation/rename (Feeder), in program
@@ -262,15 +274,17 @@ impl MemoryInterface {
                 hier.access(self.core_id, AccessKind::L1Prefetch, pf_line, cycle);
             }
             if level != Level::L1 {
-                for pf_line in self.stream.on_l1_miss(mem.addr) {
+                self.stream.on_l1_miss(mem.addr, &mut self.stream_lines);
+                for &pf_line in &self.stream_lines {
                     self.stats.stream_prefetches += 1;
                     hier.access(self.core_id, AccessKind::L2Prefetch, pf_line, cycle);
                 }
             }
         }
         if self.tact_data {
-            let addrs = self.tact.on_load_attributed(op, feeder, &self.image);
-            if !addrs.is_empty() {
+            self.tact
+                .on_load(op, feeder, &self.image, &mut self.tact_prefetches);
+            if !self.tact_prefetches.is_empty() {
                 self.obs.emit(EventClass::TACT, || Event {
                     cycle,
                     core: self.core_id as u32,
@@ -281,7 +295,7 @@ impl MemoryInterface {
                 });
             }
             let mut last_line = None;
-            for (addr, component) in addrs {
+            for &(addr, component) in &self.tact_prefetches {
                 let pf_line = addr.line();
                 if Some(pf_line) == last_line {
                     continue;

@@ -132,33 +132,38 @@ impl CriticalityDetector {
 
         if self.graph.ready_to_walk() {
             self.stats.walks += 1;
-            let path = self.graph.walk_critical_path();
-            self.stats.walk_steps += path.len() as u64;
+            // One walk feeds both the step count and the table, in path
+            // order (youngest first).
+            let mut path_len = 0u32;
             let mut observed = 0u32;
-            for (pc, level) in self.graph.critical_loads() {
-                if self.config.track_levels.contains(&level) {
-                    self.stats.critical_load_observations += 1;
-                    observed += 1;
-                    let evicted = self.table.insert(pc);
+            self.graph.walk_critical_path(|_, load| {
+                path_len += 1;
+                let Some((pc, level)) = load else { return };
+                if !self.config.track_levels.contains(&level) {
+                    return;
+                }
+                self.stats.critical_load_observations += 1;
+                observed += 1;
+                let evicted = self.table.insert(pc);
+                self.obs.emit(EventClass::CRIT, || Event {
+                    cycle,
+                    core: self.obs_core,
+                    kind: EventKind::CritInsert { pc: pc.get() },
+                });
+                if let Some(victim) = evicted {
                     self.obs.emit(EventClass::CRIT, || Event {
                         cycle,
                         core: self.obs_core,
-                        kind: EventKind::CritInsert { pc: pc.get() },
+                        kind: EventKind::CritEvict { pc: victim.get() },
                     });
-                    if let Some(victim) = evicted {
-                        self.obs.emit(EventClass::CRIT, || Event {
-                            cycle,
-                            core: self.obs_core,
-                            kind: EventKind::CritEvict { pc: victim.get() },
-                        });
-                    }
                 }
-            }
+            });
+            self.stats.walk_steps += u64::from(path_len);
             self.obs.emit(EventClass::CRIT, || Event {
                 cycle,
                 core: self.obs_core,
                 kind: EventKind::CritWalk {
-                    path_len: path.len() as u32,
+                    path_len,
                     critical_loads: observed,
                 },
             });
@@ -177,9 +182,10 @@ impl CriticalityDetector {
         self.table.is_critical(pc)
     }
 
-    /// Currently flagged critical PCs.
+    /// Currently flagged critical PCs, collected (the allocation-free
+    /// form is `table().critical_pcs()`).
     pub fn critical_pcs(&self) -> Vec<Pc> {
-        self.table.critical_pcs()
+        self.table.critical_pcs().collect()
     }
 
     /// Access to the underlying table (diagnostics, examples).

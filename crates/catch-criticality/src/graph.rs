@@ -3,7 +3,6 @@
 use crate::config::DetectorConfig;
 use catch_cache::Level;
 use catch_trace::Pc;
-use std::collections::VecDeque;
 
 /// A retired instruction as observed by the criticality hardware.
 ///
@@ -98,8 +97,9 @@ pub struct PathStep {
 }
 
 /// How a D node obtained its longest distance.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 enum DFrom {
+    #[default]
     Start,
     PrevD,
     BadSpec(u64),
@@ -107,9 +107,8 @@ enum DFrom {
 }
 
 /// One instruction's nodes, costs and prev-node pointers.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 pub struct GraphNode {
-    seq: u64,
     /// PC of the instruction (hardware stores a hashed PC; we keep the full
     /// PC and account the hashed width in the area model).
     pub pc: Pc,
@@ -147,6 +146,12 @@ impl GraphNode {
 /// edges; a walk over the prev-node pointers enumerates the critical path
 /// of the buffered window.
 ///
+/// The buffer is a ring allocated once: instruction `seq` lives in slot
+/// `seq mod 2^k` (the smallest power of two holding the capacity), and
+/// the window is the sequence range `[front, next_seq)`. Discarding the
+/// window moves `front` and touches no node, so neither insertion nor a
+/// walk allocates.
+///
 /// # Worked example (paper Figure 6)
 ///
 /// The paper walks through six instructions — `R0 = [R1]` (a 20-cycle
@@ -183,7 +188,8 @@ impl GraphNode {
 ///
 /// // Only the loads on the critical path are reported: the chain head
 /// // (i1) and the dependent load (i5) — not the independent i4.
-/// let critical: Vec<_> = g.critical_loads().iter().map(|(pc, _)| *pc).collect();
+/// let mut critical = Vec::new();
+/// g.walk_critical_path(|_, load| critical.extend(load.map(|(pc, _)| pc)));
 /// assert!(critical.contains(&pc(1)));
 /// assert!(critical.contains(&pc(5)));
 /// assert!(!critical.contains(&pc(4)));
@@ -192,7 +198,14 @@ impl GraphNode {
 #[derive(Debug)]
 pub struct DdgGraph {
     config: DetectorConfig,
-    nodes: VecDeque<GraphNode>,
+    /// Ring storage, `capacity.next_power_of_two()` slots.
+    nodes: Vec<GraphNode>,
+    /// `nodes.len() - 1`: maps a sequence number to its slot.
+    mask: u64,
+    capacity: usize,
+    walk_threshold: usize,
+    /// Sequence number of the oldest buffered instruction.
+    front: u64,
     next_seq: u64,
     /// Set when the previously inserted instruction was a mispredicted
     /// branch (its E→D edge applies to the next insertion).
@@ -201,12 +214,29 @@ pub struct DdgGraph {
 }
 
 impl DdgGraph {
-    /// Creates an empty graph.
+    /// Creates an empty graph with its whole buffer allocated.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `0 < walk_threshold() <= buffer_capacity()`: a window
+    /// larger than the buffer overflows before it is ever walked, so the
+    /// detector would silently report nothing.
     pub fn new(config: DetectorConfig) -> Self {
-        let cap = config.buffer_capacity();
+        let capacity = config.buffer_capacity();
+        let walk_threshold = config.walk_threshold();
+        assert!(
+            0 < walk_threshold && walk_threshold <= capacity,
+            "detector walk window ({walk_threshold} instructions) must be non-empty \
+             and fit its graph buffer ({capacity} instructions)"
+        );
+        let slots = capacity.next_power_of_two();
         DdgGraph {
             config,
-            nodes: VecDeque::with_capacity(cap),
+            nodes: vec![GraphNode::default(); slots],
+            mask: slots as u64 - 1,
+            capacity,
+            walk_threshold,
+            front: 0,
             next_seq: 0,
             pending_bad_spec: None,
             overflows: 0,
@@ -215,12 +245,12 @@ impl DdgGraph {
 
     /// Number of buffered instructions.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        (self.next_seq - self.front) as usize
     }
 
     /// True when nothing is buffered.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.next_seq == self.front
     }
 
     /// Times the buffer overflowed and was discarded.
@@ -230,7 +260,7 @@ impl DdgGraph {
 
     /// True once enough instructions are buffered to walk.
     pub fn ready_to_walk(&self) -> bool {
-        self.nodes.len() >= self.config.walk_threshold()
+        self.len() >= self.walk_threshold
     }
 
     /// Sequence number the next insertion will receive.
@@ -238,43 +268,44 @@ impl DdgGraph {
         self.next_seq
     }
 
+    #[inline]
     fn get(&self, seq: u64) -> Option<&GraphNode> {
-        let front = self.nodes.front()?.seq;
-        if seq < front {
-            return None;
-        }
-        self.nodes.get((seq - front) as usize)
+        // One comparison covers both ends: below `front` wraps to a huge
+        // offset.
+        (seq.wrapping_sub(self.front) < self.next_seq - self.front)
+            .then(|| &self.nodes[(seq & self.mask) as usize])
     }
 
     /// Inserts a retired instruction, relaxing its incoming edges.
     /// Returns the sequence number assigned.
     pub fn push(&mut self, inst: RetiredInst) -> u64 {
-        if self.nodes.len() >= self.config.buffer_capacity() {
+        if self.len() >= self.capacity {
             // Hardware discards and starts afresh on overflow.
-            self.nodes.clear();
-            self.pending_bad_spec = None;
+            self.flush();
             self.overflows += 1;
         }
         let seq = self.next_seq;
-        self.next_seq += 1;
         let lat = self.config.quantize(inst.exec_latency);
+        // The youngest buffered instruction's D and C costs.
+        let prev = self.get(seq.wrapping_sub(1)).map(|p| (p.d_cost, p.c_cost));
 
         // --- D node: D-D, C-D (depth) and E-D (bad speculation) edges.
         let mut d_cost = 0;
         let mut d_from = DFrom::Start;
-        if let Some(prev) = self.nodes.back() {
+        if let Some((prev_d, _)) = prev {
             // In-order allocation.
-            if prev.d_cost > d_cost {
-                d_cost = prev.d_cost;
+            if prev_d > d_cost {
+                d_cost = prev_d;
                 d_from = DFrom::PrevD;
             }
         }
-        if seq >= self.config.rob_size as u64 {
+        let rob = self.config.rob_size as u64;
+        if seq >= rob {
             // Finite ROB: allocation waits for (seq - rob) to commit.
-            if let Some(older) = self.get(seq - self.config.rob_size as u64) {
+            if let Some(older) = self.get(seq - rob) {
                 if older.c_cost > d_cost {
                     d_cost = older.c_cost;
-                    d_from = DFrom::Depth(older.seq);
+                    d_from = DFrom::Depth(seq - rob);
                 }
             }
         }
@@ -294,14 +325,14 @@ impl DdgGraph {
         for producer in inst
             .src_producers
             .iter()
+            .chain(std::iter::once(&inst.mem_producer))
             .flatten()
-            .chain(inst.mem_producer.iter())
         {
             if let Some(p) = self.get(*producer) {
                 let cost = p.e_cost + p.lat;
                 if cost > e_cost {
                     e_cost = cost;
-                    e_from_producer = Some(p.seq);
+                    e_from_producer = Some(*producer);
                 }
             }
         }
@@ -309,9 +340,9 @@ impl DdgGraph {
         // --- C node: E-C (execution latency) and C-C (in-order commit).
         let mut c_cost = e_cost + lat;
         let mut c_from_e = true;
-        if let Some(prev) = self.nodes.back() {
-            if prev.c_cost > c_cost {
-                c_cost = prev.c_cost;
+        if let Some((_, prev_c)) = prev {
+            if prev_c > c_cost {
+                c_cost = prev_c;
                 c_from_e = false;
             }
         }
@@ -320,8 +351,7 @@ impl DdgGraph {
             self.pending_bad_spec = Some(seq);
         }
 
-        self.nodes.push_back(GraphNode {
-            seq,
+        self.nodes[(seq & self.mask) as usize] = GraphNode {
             pc: inst.pc,
             is_load: inst.is_load,
             hit_level: inst.hit_level,
@@ -332,39 +362,51 @@ impl DdgGraph {
             d_from,
             e_from_producer,
             c_from_e,
-        });
+        };
+        self.next_seq += 1;
         seq
     }
 
-    /// Walks the critical path backwards from the youngest C node,
-    /// returning the steps youngest-first.
-    pub fn walk_critical_path(&self) -> Vec<PathStep> {
-        let Some(back) = self.nodes.back() else {
-            return Vec::new();
-        };
-        let front_seq = self.nodes.front().expect("non-empty").seq;
-        let mut steps = Vec::new();
+    /// Walks the critical path backwards from the youngest C node and
+    /// hands every step to `visit`, youngest first, together with the
+    /// critical load the step records: `Some((pc, level))` for the E node
+    /// of a buffered load with a hit level, the nodes the paper's table
+    /// learns from. A step naming an instruction outside the window ends
+    /// the walk but is still visited (with `None`), so a caller counting
+    /// steps counts it. Nothing is allocated; an empty graph visits
+    /// nothing.
+    pub fn walk_critical_path(&self, mut visit: impl FnMut(PathStep, Option<(Pc, Level)>)) {
+        if self.is_empty() {
+            return;
+        }
+        let front = self.front;
         let mut cursor = PathStep {
-            seq: back.seq,
+            seq: self.next_seq - 1,
             kind: NodeKind::Commit,
         };
         // Bounded by 3 nodes per buffered instruction.
-        let bound = self.nodes.len() * 3 + 3;
+        let bound = self.len() * 3 + 3;
         for _ in 0..bound {
-            steps.push(cursor);
             let Some(node) = self.get(cursor.seq) else {
+                visit(cursor, None);
                 break;
             };
+            let load = match (cursor.kind, node.is_load, node.hit_level) {
+                (NodeKind::Execute, true, Some(level)) => Some((node.pc, level)),
+                _ => None,
+            };
+            visit(cursor, load);
+            let seq = cursor.seq;
             let next = match cursor.kind {
                 NodeKind::Commit => {
                     if node.c_from_e {
                         Some(PathStep {
-                            seq: node.seq,
+                            seq,
                             kind: NodeKind::Execute,
                         })
-                    } else if node.seq > front_seq {
+                    } else if seq > front {
                         Some(PathStep {
-                            seq: node.seq - 1,
+                            seq: seq - 1,
                             kind: NodeKind::Commit,
                         })
                     } else {
@@ -377,14 +419,14 @@ impl DdgGraph {
                         kind: NodeKind::Execute,
                     }),
                     None => Some(PathStep {
-                        seq: node.seq,
+                        seq,
                         kind: NodeKind::Dispatch,
                     }),
                 },
                 NodeKind::Dispatch => match node.d_from {
                     DFrom::Start => None,
-                    DFrom::PrevD => (node.seq > front_seq).then(|| PathStep {
-                        seq: node.seq - 1,
+                    DFrom::PrevD => (seq > front).then(|| PathStep {
+                        seq: seq - 1,
                         kind: NodeKind::Dispatch,
                     }),
                     DFrom::BadSpec(b) => Some(PathStep {
@@ -402,24 +444,6 @@ impl DdgGraph {
                 None => break,
             }
         }
-        steps
-    }
-
-    /// Returns the critical *load* PCs (with their hit level) on the
-    /// current critical path — the E nodes the paper records.
-    pub fn critical_loads(&self) -> Vec<(Pc, Level)> {
-        self.walk_critical_path()
-            .into_iter()
-            .filter(|s| s.kind == NodeKind::Execute)
-            .filter_map(|s| {
-                let node = self.get(s.seq)?;
-                if node.is_load {
-                    node.hit_level.map(|l| (node.pc, l))
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 
     /// Looks up a buffered node by sequence number.
@@ -430,7 +454,7 @@ impl DdgGraph {
     /// Clears the buffer (the hardware resets its read pointer after a
     /// walk).
     pub fn flush(&mut self) {
-        self.nodes.clear();
+        self.front = self.next_seq;
         self.pending_bad_spec = None;
     }
 }
@@ -453,6 +477,18 @@ mod tests {
         Pc::new(n * 4)
     }
 
+    fn path(g: &DdgGraph) -> Vec<PathStep> {
+        let mut steps = Vec::new();
+        g.walk_critical_path(|step, _| steps.push(step));
+        steps
+    }
+
+    fn critical_loads(g: &DdgGraph) -> Vec<(Pc, Level)> {
+        let mut loads = Vec::new();
+        g.walk_critical_path(|_, load| loads.extend(load));
+        loads
+    }
+
     #[test]
     fn dependence_chain_dominates_path() {
         let mut g = DdgGraph::new(config());
@@ -462,8 +498,7 @@ mod tests {
         let s1 = g.push(RetiredInst::compute(pc(1), 1, &[s0]));
         let _i = g.push(RetiredInst::new(pc(2), 1)); // independent
         let s3 = g.push(RetiredInst::compute(pc(3), 1, &[s1]));
-        let path = g.walk_critical_path();
-        let on_path: Vec<u64> = path
+        let on_path: Vec<u64> = path(&g)
             .iter()
             .filter(|s| s.kind == NodeKind::Execute)
             .map(|s| s.seq)
@@ -479,8 +514,7 @@ mod tests {
         let mut g = DdgGraph::new(config());
         let s0 = g.push(RetiredInst::new(pc(0), 40).as_load(Level::Llc));
         g.push(RetiredInst::compute(pc(1), 1, &[s0]));
-        let loads = g.critical_loads();
-        assert_eq!(loads, vec![(pc(0), Level::Llc)]);
+        assert_eq!(critical_loads(&g), vec![(pc(0), Level::Llc)]);
     }
 
     #[test]
@@ -493,7 +527,7 @@ mod tests {
         let a1 = g.push(RetiredInst::compute(pc(1), 1, &[a0]));
         let _b1 = g.push(RetiredInst::compute(pc(11), 1, &[b0]));
         let _a2 = g.push(RetiredInst::compute(pc(2), 1, &[a1]));
-        let loads = g.critical_loads();
+        let loads = critical_loads(&g);
         assert_eq!(loads.len(), 1);
         assert_eq!(loads[0].0, pc(0));
     }
@@ -509,8 +543,7 @@ mod tests {
         let node2 = g.node(s2).unwrap();
         // d_cost = e_cost(branch) + lat(branch) + redirect = 25 + 1 + 10.
         assert_eq!(node2.d_cost, 36);
-        let path = g.walk_critical_path();
-        assert!(path.contains(&PathStep {
+        assert!(path(&g).contains(&PathStep {
             seq: s0,
             kind: NodeKind::Execute
         }));
@@ -536,6 +569,7 @@ mod tests {
         let mut cfg = config();
         cfg.rob_size = 4;
         cfg.buffer_factor_x10 = 10; // capacity 4
+        cfg.walk_factor_x10 = 10; // walk window 4
         let mut g = DdgGraph::new(cfg);
         for i in 0..5 {
             g.push(RetiredInst::new(pc(i), 1));
@@ -545,10 +579,41 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "must be non-empty and fit its graph buffer")]
+    fn rejects_a_walk_window_larger_than_the_buffer() {
+        let cfg = DetectorConfig {
+            walk_factor_x10: 30,
+            ..DetectorConfig::paper()
+        };
+        let _ = DdgGraph::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "must be non-empty and fit its graph buffer")]
+    fn rejects_an_empty_buffer() {
+        let cfg = DetectorConfig {
+            rob_size: 0,
+            ..DetectorConfig::paper()
+        };
+        let _ = DdgGraph::new(cfg);
+    }
+
+    #[test]
+    fn paper_and_ablation_windows_are_accepted() {
+        for rob_size in [128, 224, 448] {
+            let g = DdgGraph::new(DetectorConfig {
+                rob_size,
+                ..DetectorConfig::paper()
+            });
+            assert!(g.is_empty());
+        }
+    }
+
+    #[test]
     fn walk_terminates_on_empty_graph() {
         let g = DdgGraph::new(config());
-        assert!(g.walk_critical_path().is_empty());
-        assert!(g.critical_loads().is_empty());
+        assert!(path(&g).is_empty());
+        assert!(critical_loads(&g).is_empty());
     }
 
     #[test]
@@ -574,7 +639,7 @@ mod tests {
         let dep = g.push(RetiredInst::compute(pc(2), 20, &[ld_crit]));
         let _nc2 = g.push(RetiredInst::compute(pc(3), 1, &[ld_nc1]));
         let _tail = g.push(RetiredInst::compute(pc(4), 20, &[dep]));
-        let loads = g.critical_loads();
+        let loads = critical_loads(&g);
         assert_eq!(loads.len(), 1);
         assert_eq!(loads[0], (pc(0), Level::Llc));
     }

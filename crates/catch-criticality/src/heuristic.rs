@@ -201,9 +201,9 @@ impl HeuristicDetector {
         self.table.is_critical(pc)
     }
 
-    /// Currently flagged PCs.
-    pub fn critical_pcs(&self) -> Vec<Pc> {
-        self.table.critical_pcs()
+    /// The table of flagged PCs.
+    pub fn table(&self) -> &CriticalLoadTable {
+        &self.table
     }
 }
 
@@ -251,12 +251,13 @@ impl AnyDetector {
         }
     }
 
-    /// Currently flagged PCs.
-    pub fn critical_pcs(&self) -> Vec<Pc> {
+    /// Currently flagged PCs, read straight from the active table.
+    pub fn critical_pcs(&self) -> impl Iterator<Item = Pc> + '_ {
         match self {
-            AnyDetector::Graph(d) => d.critical_pcs(),
-            AnyDetector::Heuristic(d) => d.critical_pcs(),
+            AnyDetector::Graph(d) => d.table(),
+            AnyDetector::Heuristic(d) => d.table(),
         }
+        .critical_pcs()
     }
 
     /// Counters.
@@ -341,7 +342,7 @@ mod tests {
         for d in [&mut graph, &mut heur] {
             d.on_retire(RetiredInst::new(pc(1), 40).as_load(Level::L2));
             let _ = d.is_critical(pc(1));
-            let _ = d.critical_pcs();
+            let _ = d.critical_pcs().count();
             assert_eq!(d.stats().retired, 1);
         }
     }

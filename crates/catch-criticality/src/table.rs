@@ -121,14 +121,13 @@ impl CriticalLoadTable {
         })
     }
 
-    /// All PCs currently reported critical.
-    pub fn critical_pcs(&self) -> Vec<Pc> {
+    /// All PCs currently reported critical, in slot order.
+    pub fn critical_pcs(&self) -> impl Iterator<Item = Pc> + '_ {
         self.entries
             .iter()
             .flatten()
             .filter(|e| e.confidence >= CONFIDENCE_MAX)
             .map(|e| e.pc)
-            .collect()
     }
 
     /// Number of occupied slots (any confidence).
@@ -213,7 +212,7 @@ mod tests {
             t.insert(pc(9));
         }
         t.insert(pc(5));
-        let mut pcs = t.critical_pcs();
+        let mut pcs: Vec<Pc> = t.critical_pcs().collect();
         pcs.sort();
         assert_eq!(pcs, vec![pc(1), pc(9)]);
         assert_eq!(t.occupancy(), 3);

@@ -2,6 +2,7 @@
 
 use catch_trace::hash::FxHashMap;
 use catch_trace::{Addr, Trace};
+use std::cell::OnceCell;
 
 /// Memory contents as observed by the trace's loads.
 ///
@@ -11,9 +12,16 @@ use catch_trace::{Addr, Trace};
 /// the values the trace's loads carry. Last observation wins, which is
 /// exact for the read-mostly pointer structures the Feeder prefetcher
 /// targets.
+///
+/// An image made by [`MemoryImage::from_trace`] hashes the trace's loads
+/// on its first read, not when it is made: only the Feeder reads it, so a
+/// run without TACT's data prefetchers (or whose Feeder never fires)
+/// never pays for it.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryImage {
-    values: FxHashMap<u64, u64>,
+    /// The trace whose loads fill the image on first use, if any.
+    source: Option<Trace>,
+    values: OnceCell<FxHashMap<u64, u64>>,
 }
 
 impl MemoryImage {
@@ -22,37 +30,53 @@ impl MemoryImage {
         MemoryImage::default()
     }
 
-    /// Builds the image from every load in a trace.
+    /// An image of every load in `trace`, built on the first read.
     pub fn from_trace(trace: &Trace) -> Self {
-        let mut image = MemoryImage::new();
-        for op in trace.ops() {
-            if op.class == catch_trace::OpClass::Load {
-                if let Some(mem) = op.mem {
-                    image.record(mem.addr, op.load_value());
+        MemoryImage {
+            source: Some(trace.clone()),
+            values: OnceCell::new(),
+        }
+    }
+
+    fn values(&self) -> &FxHashMap<u64, u64> {
+        self.values.get_or_init(|| {
+            let mut values = FxHashMap::default();
+            for op in self.source.iter().flat_map(|trace| trace.ops()) {
+                if op.class == catch_trace::OpClass::Load {
+                    if let Some(mem) = op.mem {
+                        values.insert(mem.addr.get(), op.load_value());
+                    }
                 }
             }
-        }
-        image
+            values
+        })
+    }
+
+    /// True once the values exist: after the first read or record.
+    pub fn is_built(&self) -> bool {
+        self.values.get().is_some()
     }
 
     /// Records a value at an address.
     pub fn record(&mut self, addr: Addr, value: u64) {
-        self.values.insert(addr.get(), value);
+        self.values();
+        let values = self.values.get_mut().expect("built above");
+        values.insert(addr.get(), value);
     }
 
     /// Reads the value at `addr`, if any load observed one there.
     pub fn read(&self, addr: Addr) -> Option<u64> {
-        self.values.get(&addr.get()).copied()
+        self.values().get(&addr.get()).copied()
     }
 
     /// Number of distinct addresses recorded.
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// True if no values are recorded.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values().is_empty()
     }
 }
 
@@ -67,7 +91,9 @@ mod tests {
         b.load(ArchReg::new(1), Addr::new(0x100), 42);
         b.load(ArchReg::new(2), Addr::new(0x108), 7);
         let image = MemoryImage::from_trace(&b.build());
+        assert!(!image.is_built(), "built on first read, not on creation");
         assert_eq!(image.read(Addr::new(0x100)), Some(42));
+        assert!(image.is_built());
         assert_eq!(image.read(Addr::new(0x108)), Some(7));
         assert_eq!(image.read(Addr::new(0x110)), None);
         assert_eq!(image.len(), 2);

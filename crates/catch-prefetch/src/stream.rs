@@ -64,8 +64,11 @@ impl StreamPrefetcher {
         self.stats
     }
 
-    /// Observes an L1 miss; returns lines to prefetch into the mid level.
-    pub fn on_l1_miss(&mut self, addr: Addr) -> Vec<LineAddr> {
+    /// Observes an L1 miss and writes the lines to prefetch into the mid
+    /// level to `out` (cleared first, so one caller-owned buffer serves
+    /// every miss).
+    pub fn on_l1_miss(&mut self, addr: Addr, out: &mut Vec<LineAddr>) {
+        out.clear();
         self.stats.trains += 1;
         self.tick += 1;
         let page = addr.page();
@@ -76,7 +79,7 @@ impl StreamPrefetcher {
             stream.last_use = self.tick;
             let delta = line.get() as i64 - stream.last_line.get() as i64;
             if delta == 0 {
-                return Vec::new();
+                return;
             }
             let dir = delta.signum();
             if dir == stream.direction {
@@ -87,15 +90,11 @@ impl StreamPrefetcher {
             }
             stream.last_line = line;
             if stream.confidence >= CONFIRM {
-                let dir = stream.direction;
-                let degree = self.degree;
                 let distance = self.distance;
-                self.stats.issued += degree as u64;
-                return (1..=degree as i64)
-                    .map(|d| line.offset(dir * (distance + d)))
-                    .collect();
+                self.stats.issued += self.degree as u64;
+                out.extend((1..=self.degree as i64).map(|d| line.offset(dir * (distance + d))));
             }
-            return Vec::new();
+            return;
         }
 
         // Allocate a new stream, evicting the least recently used.
@@ -117,7 +116,6 @@ impl StreamPrefetcher {
             confidence: 0,
             last_use: self.tick,
         });
-        Vec::new()
     }
 }
 
@@ -125,12 +123,19 @@ impl StreamPrefetcher {
 mod tests {
     use super::*;
 
+    /// One miss into a fresh buffer.
+    fn miss(p: &mut StreamPrefetcher, addr: u64) -> Vec<LineAddr> {
+        let mut out = Vec::new();
+        p.on_l1_miss(Addr::new(addr), &mut out);
+        out
+    }
+
     #[test]
     fn ascending_stream_prefetches_ahead() {
         let mut p = StreamPrefetcher::new(16, 2, 0);
         let mut out = Vec::new();
         for i in 0..4u64 {
-            out = p.on_l1_miss(Addr::new(i * 64));
+            out = miss(&mut p, i * 64);
         }
         assert_eq!(out, vec![LineAddr::new(4), LineAddr::new(5)]);
     }
@@ -140,7 +145,7 @@ mod tests {
         let mut p = StreamPrefetcher::new(16, 1, 0);
         let mut out = Vec::new();
         for i in (0..6u64).rev() {
-            out = p.on_l1_miss(Addr::new(i * 64));
+            out = miss(&mut p, i * 64);
         }
         assert_eq!(out, vec![LineAddr::new(0).offset(-1)]);
     }
@@ -148,8 +153,8 @@ mod tests {
     #[test]
     fn repeated_same_line_is_quiet() {
         let mut p = StreamPrefetcher::new(16, 2, 0);
-        p.on_l1_miss(Addr::new(0));
-        let out = p.on_l1_miss(Addr::new(8)); // same line
+        miss(&mut p, 0);
+        let out = miss(&mut p, 8); // same line
         assert!(out.is_empty());
     }
 
@@ -157,11 +162,11 @@ mod tests {
     fn concurrent_streams_per_page() {
         let mut p = StreamPrefetcher::new(16, 1, 0);
         for i in 0..4u64 {
-            p.on_l1_miss(Addr::new(i * 64)); // page 0
-            p.on_l1_miss(Addr::new(8192 + i * 64)); // page 2
+            miss(&mut p, i * 64); // page 0
+            miss(&mut p, 8192 + i * 64); // page 2
         }
-        let a = p.on_l1_miss(Addr::new(4 * 64));
-        let b = p.on_l1_miss(Addr::new(8192 + 4 * 64));
+        let a = miss(&mut p, 4 * 64);
+        let b = miss(&mut p, 8192 + 4 * 64);
         assert_eq!(a, vec![LineAddr::new(5)]);
         assert_eq!(b, vec![LineAddr::new(8192 / 64 + 5)]);
     }
@@ -169,13 +174,13 @@ mod tests {
     #[test]
     fn lru_stream_replacement() {
         let mut p = StreamPrefetcher::new(2, 1, 0);
-        p.on_l1_miss(Addr::new(0)); // page 0
-        p.on_l1_miss(Addr::new(4096)); // page 1
-        p.on_l1_miss(Addr::new(64)); // touch page 0 again
-        p.on_l1_miss(Addr::new(8192)); // page 2 evicts page 1
+        miss(&mut p, 0); // page 0
+        miss(&mut p, 4096); // page 1
+        miss(&mut p, 64); // touch page 0 again
+        miss(&mut p, 8192); // page 2 evicts page 1
         assert_eq!(p.stats().allocations, 3);
         // Page 1 must retrain from scratch.
-        let out = p.on_l1_miss(Addr::new(4096 + 64));
+        let out = miss(&mut p, 4096 + 64);
         assert!(out.is_empty());
     }
 
@@ -183,10 +188,10 @@ mod tests {
     fn direction_flip_resets_confidence() {
         let mut p = StreamPrefetcher::new(4, 1, 0);
         for i in 0..4u64 {
-            p.on_l1_miss(Addr::new(i * 64));
+            miss(&mut p, i * 64);
         }
         // Reverse.
-        let out = p.on_l1_miss(Addr::new(64));
+        let out = miss(&mut p, 64);
         assert!(out.is_empty());
     }
 }

@@ -50,29 +50,30 @@ impl CodeRunahead {
         self.stats
     }
 
-    /// Called when the front end stalls on `miss_line`; `predicted_lines`
-    /// is the predicted future code-line stream beyond the stalled fetch
-    /// (already branch-predicted by the caller). Returns the distinct
-    /// lines to prefetch, skipping the missing line itself.
-    pub fn on_stall(
-        &mut self,
-        miss_line: LineAddr,
-        predicted_lines: impl Iterator<Item = LineAddr>,
-    ) -> Vec<LineAddr> {
+    /// Called when the front end stalls on `miss_line`; `lines` holds the
+    /// predicted future code-line stream beyond the stalled fetch
+    /// (already branch-predicted by the caller). Filters `lines` in place
+    /// down to the distinct lines to prefetch, in stream order, skipping
+    /// the missing line itself — the caller's buffer is the output, so a
+    /// stall allocates nothing.
+    pub fn on_stall(&mut self, miss_line: LineAddr, lines: &mut Vec<LineAddr>) {
         self.stats.activations += 1;
-        let mut out: Vec<LineAddr> = Vec::new();
-        for line in predicted_lines {
-            if out.len() >= self.max_lines_per_stall {
+        let mut kept = 0;
+        for i in 0..lines.len() {
+            if kept >= self.max_lines_per_stall {
                 break;
             }
-            if line == miss_line || out.contains(&line) || Some(line) == self.last_issued {
+            let line = lines[i];
+            if line == miss_line || lines[..kept].contains(&line) || Some(line) == self.last_issued
+            {
                 continue;
             }
-            out.push(line);
+            lines[kept] = line;
+            kept += 1;
         }
-        self.stats.issued += out.len() as u64;
-        self.last_issued = out.last().copied().or(self.last_issued);
-        out
+        lines.truncate(kept);
+        self.stats.issued += kept as u64;
+        self.last_issued = lines.last().copied().or(self.last_issued);
     }
 
     /// Announces an issued code prefetch's expected arrival cycle to
@@ -98,11 +99,22 @@ mod tests {
         LineAddr::new(n)
     }
 
+    /// One stall over a copy of `future`.
+    fn stall(
+        r: &mut CodeRunahead,
+        miss: LineAddr,
+        future: impl IntoIterator<Item = LineAddr>,
+    ) -> Vec<LineAddr> {
+        let mut lines: Vec<LineAddr> = future.into_iter().collect();
+        r.on_stall(miss, &mut lines);
+        lines
+    }
+
     #[test]
     fn issues_deduplicated_future_lines() {
         let mut r = CodeRunahead::new(4);
         let future = [line(10), line(10), line(11), line(12), line(11)];
-        let out = r.on_stall(line(9), future.into_iter());
+        let out = stall(&mut r, line(9), future);
         assert_eq!(out, vec![line(10), line(11), line(12)]);
         assert_eq!(r.stats().issued, 3);
     }
@@ -110,23 +122,23 @@ mod tests {
     #[test]
     fn skips_the_missing_line_itself() {
         let mut r = CodeRunahead::new(4);
-        let out = r.on_stall(line(9), [line(9), line(10)].into_iter());
+        let out = stall(&mut r, line(9), [line(9), line(10)]);
         assert_eq!(out, vec![line(10)]);
     }
 
     #[test]
     fn respects_budget() {
         let mut r = CodeRunahead::new(2);
-        let out = r.on_stall(line(0), (1..10).map(line));
+        let out = stall(&mut r, line(0), (1..10).map(line));
         assert_eq!(out.len(), 2);
     }
 
     #[test]
     fn redirect_resets_dedup_state() {
         let mut r = CodeRunahead::new(4);
-        r.on_stall(line(0), [line(1)].into_iter());
+        stall(&mut r, line(0), [line(1)]);
         r.on_redirect();
-        let out = r.on_stall(line(0), [line(1)].into_iter());
+        let out = stall(&mut r, line(0), [line(1)]);
         assert_eq!(out, vec![line(1)]);
         assert_eq!(r.stats().resets, 1);
     }

@@ -157,8 +157,9 @@ impl catch_trace::counters::FromCounters for TactStats {
 ///   flags a load PC,
 /// * [`TactPrefetcher::on_op`] for every retired micro-op (register-flow
 ///   tracking for the Feeder),
-/// * [`TactPrefetcher::on_load`] for every executed load — returns the
-///   byte addresses TACT wants prefetched into the L1D.
+/// * [`TactPrefetcher::on_load`] for every executed load — fills a
+///   caller-owned buffer with the byte addresses TACT wants prefetched
+///   into the L1D.
 #[derive(Debug)]
 pub struct TactPrefetcher {
     config: TactConfig,
@@ -179,7 +180,7 @@ impl TactPrefetcher {
     pub fn new(config: TactConfig) -> Self {
         TactPrefetcher {
             targets: TargetTable::new(config.max_targets),
-            trigger_cache: TriggerCache::new(8, 8, 4),
+            trigger_cache: TriggerCache::new(8, 8),
             regfile: FeederRegFile::new(),
             cross_assocs: FxHashMap::default(),
             candidate_addrs: FxHashMap::default(),
@@ -240,43 +241,31 @@ impl TactPrefetcher {
         self.regfile.youngest_feeder(op)
     }
 
-    /// Observes an executed load and returns addresses to prefetch into
-    /// the L1D. `feeder` is the allocation-time hint from
+    /// Observes an executed load and writes the byte addresses TACT wants
+    /// prefetched into the L1D to `out`, each tagged with the component
+    /// that produced it (for `tact.target` attribution). `out` is cleared
+    /// first, so one caller-owned buffer serves every load and the steady
+    /// state allocates nothing. `feeder` is the allocation-time hint from
     /// [`TactPrefetcher::feeder_hint`].
     pub fn on_load(
         &mut self,
         op: &MicroOp,
         feeder: Option<(Pc, u64)>,
         image: &MemoryImage,
-    ) -> Vec<Addr> {
-        self.on_load_attributed(op, feeder, image)
-            .into_iter()
-            .map(|(addr, _)| addr)
-            .collect()
-    }
-
-    /// Like [`TactPrefetcher::on_load`], but tags every emitted address
-    /// with the component that produced it, so callers can attribute
-    /// `tact.target` observability events.
-    pub fn on_load_attributed(
-        &mut self,
-        op: &MicroOp,
-        feeder: Option<(Pc, u64)>,
-        image: &MemoryImage,
-    ) -> Vec<(Addr, TactComponent)> {
+        out: &mut Vec<(Addr, TactComponent)>,
+    ) {
         debug_assert_eq!(op.class, OpClass::Load, "on_load takes loads");
+        out.clear();
         let Some(mem) = op.mem else {
-            return Vec::new();
+            return;
         };
         let pc = op.pc;
         let addr = mem.addr;
-        let value = op.load_value();
-        let mut out: Vec<(Addr, TactComponent)> = Vec::new();
 
         // 1. Every load is a potential future cross trigger.
         self.trigger_cache.observe(addr.page(), pc);
-        if let std::collections::hash_map::Entry::Occupied(mut e) = self.candidate_addrs.entry(pc) {
-            *e.get_mut() = addr;
+        if let Some(last) = self.candidate_addrs.get_mut(&pc) {
+            *last = addr;
         }
 
         // 2. Fire learned cross associations where this load triggers.
@@ -293,55 +282,55 @@ impl TactPrefetcher {
 
         // 3. Fire feeder prefetches where this load feeds targets.
         if self.config.enable_feeder {
-            let feeder_emits = self.feeder_fire(pc, addr, value, image);
-            out.extend(feeder_emits.into_iter().map(|a| (a, TactComponent::Feeder)));
+            self.feeder_fire(pc, addr, op.load_value(), image, out);
         }
 
-        // 4. Train (and fire Deep-Self) when this load is itself a target.
-        if self.targets.contains(pc) {
-            let deep = self.train_target(op, addr, feeder);
-            out.extend(deep.into_iter().map(|a| (a, TactComponent::Deep)));
+        // 4. Train (and fire Deep-Self) when this load is itself a target:
+        // the one probe of the target table this load makes.
+        if let Some(slot) = self.targets.find(pc) {
+            self.train_target(slot, op, addr, feeder, out);
         }
 
         out.truncate(self.config.max_prefetches_per_event);
         out.dedup_by_key(|(a, _)| a.line());
-        out
     }
 
-    /// Training and Deep-Self emission for a critical target instance.
-    fn train_target(&mut self, op: &MicroOp, addr: Addr, feeder: Option<(Pc, u64)>) -> Vec<Addr> {
-        let pc = op.pc;
-        let mut out = Vec::new();
+    /// Training and Deep-Self emission for the critical target in `slot`.
+    fn train_target(
+        &mut self,
+        slot: usize,
+        op: &MicroOp,
+        addr: Addr,
+        feeder: Option<(Pc, u64)>,
+        out: &mut Vec<(Addr, TactComponent)>,
+    ) {
+        self.targets.touch(slot);
 
         // Deep Self.
-        let (deep_emits, _) = {
-            let entry = self.targets.get_mut(pc).expect("target present");
-            let emits = entry.self_stride.train_and_predict(
-                addr,
-                self.config.deep_max_distance,
-                self.config.enable_deep,
-            );
-            (emits, ())
-        };
-        self.stats.deep_issued += deep_emits.len() as u64;
-        out.extend(deep_emits);
+        let before = out.len();
+        let deep = self.targets.entry_mut(slot).self_stride.train_and_predict(
+            addr,
+            self.config.deep_max_distance,
+            self.config.enable_deep,
+        );
+        out.extend(deep.map(|a| (a, TactComponent::Deep)));
+        self.stats.deep_issued += (out.len() - before) as u64;
 
         // Cross training.
         if self.config.enable_cross {
-            self.train_cross(pc, addr);
+            self.train_cross(slot, op.pc, addr);
         }
 
         // Feeder training.
         if self.config.enable_feeder {
-            self.train_feeder(op, addr, feeder);
+            self.train_feeder(slot, op.pc, addr, feeder);
         }
-        out
     }
 
-    fn train_cross(&mut self, target_pc: Pc, addr: Addr) {
-        // Split-borrow helpers: copy candidate info out first.
+    fn train_cross(&mut self, slot: usize, target_pc: Pc, addr: Addr) {
+        // Split borrows: the page's candidates stay in the trigger cache.
         let candidates = self.trigger_cache.candidates(addr.page());
-        let entry = self.targets.get_mut(target_pc).expect("target present");
+        let entry = self.targets.entry_mut(slot);
         if entry.cross_learned.is_some() {
             return;
         }
@@ -384,16 +373,16 @@ impl TactPrefetcher {
         }
     }
 
-    fn train_feeder(&mut self, op: &MicroOp, addr: Addr, feeder: Option<(Pc, u64)>) {
+    fn train_feeder(&mut self, slot: usize, target_pc: Pc, addr: Addr, feeder: Option<(Pc, u64)>) {
         // The youngest load (in program order) feeding this load's
         // sources, captured by the core at allocation time.
-        let entry = self.targets.get_mut(op.pc).expect("target present");
         let Some((feeder_pc, feeder_value)) = feeder else {
             return;
         };
-        if feeder_pc == op.pc {
+        if feeder_pc == target_pc {
             return; // self dependence is Deep-Self's job
         }
+        let entry = self.targets.entry_mut(slot);
         let confirmed = entry.feeder.observe_candidate(feeder_pc);
         if !confirmed {
             return;
@@ -407,45 +396,52 @@ impl TactPrefetcher {
                     .entry(feeder_pc)
                     .or_insert_with(|| (SelfStride::new(), Vec::new()))
                     .1
-                    .push(op.pc);
+                    .push(target_pc);
             }
         }
     }
 
-    /// Emits target prefetches when a confirmed feeder executes.
-    fn feeder_fire(&mut self, pc: Pc, addr: Addr, value: u64, image: &MemoryImage) -> Vec<Addr> {
+    /// Emits target prefetches into `out` when a confirmed feeder
+    /// executes.
+    fn feeder_fire(
+        &mut self,
+        pc: Pc,
+        addr: Addr,
+        value: u64,
+        image: &MemoryImage,
+        out: &mut Vec<(Addr, TactComponent)>,
+    ) {
         let Some((self_stride, dependents)) = self.feeders.get_mut(&pc) else {
-            return Vec::new();
+            return;
         };
         // Train the feeder's own stride and predict future feeder
         // addresses (the paper prefetches the feeder up to distance 4 and
         // chains the returned data into target prefetches).
         let feeder_future = self_stride.train_and_predict_all(addr, self.config.feeder_distance);
-        let dependents = dependents.clone();
 
-        let mut out = Vec::new();
-        for target_pc in dependents {
+        let before = out.len();
+        for &target_pc in dependents.iter() {
             let Some(entry) = self.targets.get(target_pc) else {
                 continue;
             };
             let Some((scale, base)) = entry.feeder.learned else {
                 continue;
             };
+            let target = |data: u64| {
+                let addr = (scale as u64).wrapping_mul(data).wrapping_add(base as u64);
+                (Addr::new(addr), TactComponent::Feeder)
+            };
             // Distance 0: the data just loaded points at the next target.
-            out.push(Addr::new(
-                (scale as u64).wrapping_mul(value).wrapping_add(base as u64),
-            ));
+            out.push(target(value));
             // Deeper: chase future feeder instances through the image.
-            for &fa in &feeder_future {
-                if let Some(v) = image.read(fa) {
-                    out.push(Addr::new(
-                        (scale as u64).wrapping_mul(v).wrapping_add(base as u64),
-                    ));
-                }
-            }
+            out.extend(
+                feeder_future
+                    .clone()
+                    .filter_map(|fa| image.read(fa))
+                    .map(target),
+            );
         }
-        self.stats.feeder_issued += out.len() as u64;
-        out
+        self.stats.feeder_issued += (out.len() - before) as u64;
     }
 }
 
@@ -456,6 +452,18 @@ mod tests {
 
     fn load(pc_n: u64, addr: u64, value: u64) -> MicroOp {
         MicroOp::load(Pc::new(pc_n), ArchReg::new(1), Addr::new(addr), value, &[])
+    }
+
+    /// One `on_load` into a fresh buffer, addresses only.
+    fn fire(
+        t: &mut TactPrefetcher,
+        op: &MicroOp,
+        feeder: Option<(Pc, u64)>,
+        image: &MemoryImage,
+    ) -> Vec<Addr> {
+        let mut out = Vec::new();
+        t.on_load(op, feeder, image, &mut out);
+        out.into_iter().map(|(addr, _)| addr).collect()
     }
 
     fn dep_load(pc_n: u64, addr: u64, value: u64, src: ArchReg) -> MicroOp {
@@ -477,7 +485,7 @@ mod tests {
         let mut last = Vec::new();
         for i in 0..40u64 {
             let op = MicroOp::load(pc, ArchReg::new(1), Addr::new(i * 64), 0, &[]);
-            last = t.on_load(&op, None, &image);
+            last = fire(&mut t, &op, None, &image);
         }
         assert!(!last.is_empty(), "stable stride must emit prefetches");
         assert!(t.stats().deep_issued > 0);
@@ -492,7 +500,7 @@ mod tests {
         let mut t = TactPrefetcher::new(TactConfig::paper());
         let image = MemoryImage::new();
         for i in 0..40u64 {
-            let out = t.on_load(&load(0x100, i * 64, 0), None, &image);
+            let out = fire(&mut t, &load(0x100, i * 64, 0), None, &image);
             assert!(out.is_empty());
         }
     }
@@ -507,12 +515,12 @@ mod tests {
         // Trigger at X, target at X + 256, same page, random-ish X.
         for i in 0..80u64 {
             let x = 4096 * 10 + (i % 8) * 320; // stays in a few pages
-            t.on_load(&load(0x200, x, 0), None, &image);
-            t.on_load(&load(0x204, x + 256, 0), None, &image);
+            fire(&mut t, &load(0x200, x, 0), None, &image);
+            fire(&mut t, &load(0x204, x + 256, 0), None, &image);
         }
         assert!(t.stats().cross_learned > 0, "delta must be learned");
         // Now a fresh trigger instance fires a prefetch for the target.
-        let out = t.on_load(&load(0x200, 4096 * 20, 0), None, &image);
+        let out = fire(&mut t, &load(0x200, 4096 * 20, 0), None, &image);
         assert!(out.contains(&Addr::new(4096 * 20 + 256)), "out {out:?}");
         let _ = (trigger, target);
     }
@@ -539,12 +547,12 @@ mod tests {
                 &[],
             );
             t.on_op(&feeder_op);
-            let f = t.on_load(&feeder_op, None, &image);
+            let f = fire(&mut t, &feeder_op, None, &image);
             fired.extend(f);
             let target_op = dep_load(0x304, 0x100000 + i * 4096, 7, src);
             t.on_op(&target_op);
             let hint = t.feeder_hint(&target_op);
-            t.on_load(&target_op, hint, &image);
+            fire(&mut t, &target_op, hint, &image);
         }
         assert!(t.stats().feeder_learned > 0, "feeder relation learned");
         assert!(
@@ -564,7 +572,7 @@ mod tests {
         let pc = Pc::new(0x100);
         t.note_critical(pc);
         for i in 0..40u64 {
-            let out = t.on_load(&load(0x100, i * 64, 0), None, &image);
+            let out = fire(&mut t, &load(0x100, i * 64, 0), None, &image);
             assert!(out.is_empty(), "disabled TACT must stay quiet");
         }
         assert_eq!(t.stats().deep_issued, 0);
@@ -580,8 +588,66 @@ mod tests {
         let image = MemoryImage::new();
         t.note_critical(Pc::new(0x100));
         for i in 0..60u64 {
-            let out = t.on_load(&load(0x100, i * 64, 0), None, &image);
+            let out = fire(&mut t, &load(0x100, i * 64, 0), None, &image);
             assert!(out.len() <= 2);
+        }
+    }
+
+    #[test]
+    fn reused_buffer_gives_a_fresh_calls_output() {
+        // Two identical engines see one stream mixing Deep-Self, Cross and
+        // Feeder activity. One writes every load into a buffer still
+        // holding junk and the previous load's output; the other gets a
+        // new buffer per load. Outputs, order and tags must agree.
+        let mut reused = TactPrefetcher::new(TactConfig::paper());
+        let mut fresh = TactPrefetcher::new(TactConfig::paper());
+        let mut image = MemoryImage::new();
+        for i in 0..300u64 {
+            image.record(Addr::new(0x1000 + i * 8), 0x100000 + i * 4096);
+        }
+        for t in [&mut reused, &mut fresh] {
+            for pc in [0x204, 0x304, 0x400] {
+                t.note_critical(Pc::new(pc));
+            }
+        }
+        let src = ArchReg::new(1);
+        let mut buf = vec![(Addr::new(0xdead_0000), TactComponent::Cross); 12];
+        let mut components = Vec::new();
+        for i in 0..240u64 {
+            let x = 4096 * 10 + (i % 8) * 320;
+            let ops = [
+                MicroOp::load(
+                    Pc::new(0x300),
+                    src,
+                    Addr::new(0x1000 + i * 8),
+                    0x100000 + i * 4096,
+                    &[],
+                ),
+                dep_load(0x304, 0x100000 + i * 4096, 7, src),
+                load(0x200, x, 0),
+                load(0x204, x + 256, 0),
+                load(0x400, 0x800000 + i * 64, 0),
+            ];
+            for op in &ops {
+                let hint = reused.feeder_hint(op);
+                assert_eq!(hint, fresh.feeder_hint(op));
+                reused.on_op(op);
+                fresh.on_op(op);
+                buf.push((Addr::new(0xbeef_0000 + i), TactComponent::Feeder));
+                reused.on_load(op, hint, &image, &mut buf);
+                let mut new = Vec::new();
+                fresh.on_load(op, hint, &image, &mut new);
+                assert_eq!(buf, new, "load {i} at {}", op.pc);
+                components.extend(new.iter().map(|&(_, c)| c));
+            }
+        }
+        assert_eq!(reused.stats(), fresh.stats());
+        for c in [
+            TactComponent::Deep,
+            TactComponent::Cross,
+            TactComponent::Feeder,
+        ] {
+            assert!(components.contains(&c), "{c:?} never fired");
         }
     }
 }

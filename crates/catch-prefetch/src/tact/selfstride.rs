@@ -89,39 +89,39 @@ impl SelfStride {
     /// Trains on `addr` and returns the prefetch addresses to issue:
     /// distance 1 plus, when the safe length is confident, the deep
     /// distance capped at `max_distance` (and disabled entirely when
-    /// `deep` is false — the baseline behaviour).
-    pub fn train_and_predict(&mut self, addr: Addr, max_distance: u8, deep: bool) -> Vec<Addr> {
+    /// `deep` is false — the baseline behaviour). At most two addresses,
+    /// computed up front, so the iterator borrows nothing.
+    pub fn train_and_predict(
+        &mut self,
+        addr: Addr,
+        max_distance: u8,
+        deep: bool,
+    ) -> impl Iterator<Item = Addr> {
         self.train(addr);
-        let Some(stride) = self.stride() else {
-            return Vec::new();
-        };
-        if !deep {
-            return Vec::new();
-        }
-        let mut out = Vec::with_capacity(2);
-        let d1 = addr.offset(stride);
-        if d1.line() != addr.line() {
-            out.push(d1);
-        }
-        if self.safe_conf >= SAFE_CONF_MAX {
-            let distance = self.safe_len.min(max_distance) as i64;
-            if distance > 1 {
-                out.push(addr.offset(stride * distance));
-            }
-        }
-        out
+        let stride = self.stride().filter(|_| deep);
+        let near = stride
+            .map(|s| addr.offset(s))
+            .filter(|d1| d1.line() != addr.line());
+        let far = stride
+            .filter(|_| self.safe_conf >= SAFE_CONF_MAX)
+            .map(|s| (s, self.safe_len.min(max_distance) as i64))
+            .filter(|&(_, distance)| distance > 1)
+            .map(|(s, distance)| addr.offset(s * distance));
+        near.into_iter().chain(far)
     }
 
     /// Trains on `addr` and returns the predicted addresses at distances
-    /// `1..=distance` (used for feeder chains).
-    pub fn train_and_predict_all(&mut self, addr: Addr, distance: u8) -> Vec<Addr> {
+    /// `1..=distance` (used for feeder chains); empty until a stride is
+    /// confident. The iterator is `Clone`, so a caller can replay it.
+    pub fn train_and_predict_all(
+        &mut self,
+        addr: Addr,
+        distance: u8,
+    ) -> impl Iterator<Item = Addr> + Clone {
         self.train(addr);
-        let Some(stride) = self.stride() else {
-            return Vec::new();
-        };
-        (1..=distance as i64)
-            .map(|d| addr.offset(stride * d))
-            .collect()
+        let stride = self.stride().unwrap_or(0);
+        let distance = if stride == 0 { 0 } else { distance as i64 };
+        (1..=distance).map(move |d| addr.offset(stride * d))
     }
 }
 
@@ -149,12 +149,12 @@ mod tests {
         let mut s = SelfStride::new();
         let mut out = Vec::new();
         for i in 0..4u64 {
-            out = s.train_and_predict(Addr::new(i * 64), 16, true);
+            out = s.train_and_predict(Addr::new(i * 64), 16, true).collect();
         }
         // Early: only distance-1.
         assert_eq!(out.len(), 1);
         for i in 4..40u64 {
-            out = s.train_and_predict(Addr::new(i * 64), 16, true);
+            out = s.train_and_predict(Addr::new(i * 64), 16, true).collect();
         }
         assert_eq!(out.len(), 2, "deep prefetch joins after confidence");
         let deep = out[1].get() as i64 - 39 * 64;
@@ -165,8 +165,8 @@ mod tests {
     fn deep_flag_false_suppresses_output() {
         let mut s = SelfStride::new();
         for i in 0..40u64 {
-            let out = s.train_and_predict(Addr::new(i * 64), 16, false);
-            assert!(out.is_empty());
+            let mut out = s.train_and_predict(Addr::new(i * 64), 16, false);
+            assert!(out.next().is_none());
         }
     }
 
@@ -192,7 +192,7 @@ mod tests {
         for i in 0..5u64 {
             s.train(Addr::new(i * 8));
         }
-        let out = s.train_and_predict_all(Addr::new(5 * 8), 4);
+        let out: Vec<Addr> = s.train_and_predict_all(Addr::new(5 * 8), 4).collect();
         assert_eq!(
             out,
             vec![

@@ -146,10 +146,16 @@ pub struct TargetEntry {
 }
 
 /// The Critical Target PC Table (paper: 32 entries).
+///
+/// Stored as two parallel arrays: the dense `pcs` array a lookup scans
+/// (8 bytes per target, so all 32 fit in four cache lines) and the
+/// per-target learning state it indexes. A load probes the table once
+/// ([`TargetTable::find`]) and then works on the slot.
 #[derive(Debug)]
 pub struct TargetTable {
     capacity: usize,
-    entries: Vec<(Pc, TargetEntry)>,
+    pcs: Vec<Pc>,
+    entries: Vec<TargetEntry>,
     tick: u64,
 }
 
@@ -163,75 +169,80 @@ impl TargetTable {
         assert!(capacity > 0, "target table needs capacity");
         TargetTable {
             capacity,
+            pcs: Vec::with_capacity(capacity),
             entries: Vec::with_capacity(capacity),
             tick: 0,
         }
     }
 
+    /// The slot holding `pc`, if it is a target.
+    #[inline]
+    pub fn find(&self, pc: Pc) -> Option<usize> {
+        self.pcs.iter().position(|&p| p == pc)
+    }
+
     /// True if `pc` has an entry.
     pub fn contains(&self, pc: Pc) -> bool {
-        self.entries.iter().any(|(p, _)| *p == pc)
+        self.find(pc).is_some()
     }
 
     /// Number of live targets.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.pcs.len()
     }
 
     /// True when no targets are tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.pcs.is_empty()
     }
 
     /// Refreshes `pc`'s entry or allocates one (LRU replacement).
     /// Returns true if a new entry was allocated.
     pub fn touch_or_allocate(&mut self, pc: Pc) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((_, e)) = self.entries.iter_mut().find(|(p, _)| *p == pc) {
-            e.last_use = tick;
+        if let Some(slot) = self.find(pc) {
+            self.touch(slot);
             return false;
         }
-        if self.entries.len() >= self.capacity {
-            let (victim_idx, _) = self
+        self.tick += 1;
+        if self.pcs.len() >= self.capacity {
+            let (victim, _) = self
                 .entries
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, (_, e))| e.last_use)
+                .min_by_key(|(_, e)| e.last_use)
                 .expect("table is non-empty");
-            self.entries.swap_remove(victim_idx);
+            self.pcs.swap_remove(victim);
+            self.entries.swap_remove(victim);
         }
-        self.entries.push((
-            pc,
-            TargetEntry {
-                last_use: tick,
-                ..TargetEntry::default()
-            },
-        ));
+        self.pcs.push(pc);
+        self.entries.push(TargetEntry {
+            last_use: self.tick,
+            ..TargetEntry::default()
+        });
         true
     }
 
     /// Immutable access to a target's state.
     pub fn get(&self, pc: Pc) -> Option<&TargetEntry> {
-        self.entries.iter().find(|(p, _)| *p == pc).map(|(_, e)| e)
+        self.find(pc).map(|slot| &self.entries[slot])
     }
 
-    /// Mutable access to a target's state.
-    pub fn get_mut(&mut self, pc: Pc) -> Option<&mut TargetEntry> {
+    /// Marks the target in `slot` (from [`TargetTable::find`]) most
+    /// recently used.
+    pub fn touch(&mut self, slot: usize) {
         self.tick += 1;
-        let tick = self.tick;
-        self.entries
-            .iter_mut()
-            .find(|(p, _)| *p == pc)
-            .map(|(_, e)| {
-                e.last_use = tick;
-                e
-            })
+        self.entries[slot].last_use = self.tick;
     }
 
-    /// All tracked PCs.
-    pub fn pcs(&self) -> Vec<Pc> {
-        self.entries.iter().map(|(p, _)| *p).collect()
+    /// Mutable access to the state of the target in `slot` (from
+    /// [`TargetTable::find`]); leaves the LRU order alone.
+    pub fn entry_mut(&mut self, slot: usize) -> &mut TargetEntry {
+        &mut self.entries[slot]
+    }
+
+    /// All tracked PCs, in slot order.
+    pub fn pcs(&self) -> &[Pc] {
+        &self.pcs
     }
 }
 

@@ -13,6 +13,18 @@ fn load(pc: u64, addr: u64, value: u64) -> MicroOp {
     MicroOp::load(Pc::new(pc), ArchReg::new(1), Addr::new(addr), value, &[])
 }
 
+/// One `on_load` into a fresh buffer, addresses only.
+fn fire(
+    tact: &mut TactPrefetcher,
+    op: &MicroOp,
+    feeder: Option<(Pc, u64)>,
+    image: &MemoryImage,
+) -> Vec<Addr> {
+    let mut out = Vec::new();
+    tact.on_load(op, feeder, image, &mut out);
+    out.into_iter().map(|(addr, _)| addr).collect()
+}
+
 /// The stride prefetcher learns any non-zero line-crossing stride and
 /// predicts exactly `addr + stride`.
 #[test]
@@ -49,7 +61,7 @@ fn deep_self_stays_within_distance() {
         let base: i64 = 1 << 30;
         for i in 0..reps {
             let addr = (base + stride * i as i64) as u64;
-            let out = tact.on_load(&load(pc, addr, 0), None, &image);
+            let out = fire(&mut tact, &load(pc, addr, 0), None, &image);
             for a in out {
                 let delta = a.get() as i64 - addr as i64;
                 assert!(
@@ -85,7 +97,7 @@ fn feeder_prefetches_only_loaded_pointers() {
         for (i, &p) in ptrs.iter().enumerate() {
             let feeder_op = load(0x200, feeder_base + i as u64 * 8, p);
             tact.on_op(&feeder_op);
-            emitted.extend(tact.on_load(&feeder_op, None, &image));
+            emitted.extend(fire(&mut tact, &feeder_op, None, &image));
             let target_op = MicroOp::load(
                 target_pc,
                 ArchReg::new(2),
@@ -95,7 +107,7 @@ fn feeder_prefetches_only_loaded_pointers() {
             );
             let hint = tact.feeder_hint(&target_op);
             tact.on_op(&target_op);
-            emitted.extend(tact.on_load(&target_op, hint, &image));
+            emitted.extend(fire(&mut tact, &target_op, hint, &image));
         }
         // Every emitted prefetch lands in one of the two legitimate
         // regions: the pointer targets (including Deep-Self stride
@@ -125,7 +137,7 @@ fn per_event_cap_holds() {
         let image = MemoryImage::new();
         tact.note_critical(Pc::new(0x100));
         for &a in &addrs {
-            let out = tact.on_load(&load(0x100, a * 64, 0), None, &image);
+            let out = fire(&mut tact, &load(0x100, a * 64, 0), None, &image);
             assert!(out.len() <= cap);
         }
     });

@@ -36,7 +36,7 @@ fn main() {
         d.retired, d.walks, d.critical_load_observations, d.relearns, d.overflows
     );
 
-    let pcs = core.detector().critical_pcs();
+    let pcs: Vec<_> = core.detector().critical_pcs().collect();
     println!("\ncritical load PCs ({}):", pcs.len());
     for pc in pcs {
         println!("  {pc}");
