@@ -23,19 +23,18 @@
 //!   (default 15) percent below the checked-in reference. A speedup
 //!   beyond the same margin prints a re-bless reminder but passes —
 //!   a faster runner must not fail CI.
-//! * `CATCH_BENCH_MIN_SPEEDUP=F` — engine-speedup gate: exit non-zero
-//!   unless measured geomean ÷ the `pre_pr` baseline geomean reaches
-//!   `F` (e.g. `1.5` for the event-queue engine's acceptance floor).
-//!   The comparison line prints regardless whenever a `pre_pr` block
+//! * `CATCH_BENCH_MIN_SPEEDUP=F` — speedup gate: exit non-zero unless
+//!   measured geomean ÷ the `pre_pr` baseline geomean reaches `F`
+//!   (e.g. `1.5` for the calendar-queue skip's acceptance floor). The
+//!   comparison line prints regardless whenever a `pre_pr` block
 //!   exists.
 //!
-//! The active cycle engine follows `CATCH_ENGINE` (default `timeq`),
-//! so `CATCH_ENGINE=tick cargo bench ...` measures the reference tick
-//! loop on the same scale for an apples-to-apples engine comparison.
+//! `CATCH_NO_SKIP=1 cargo bench ...` measures the naive per-cycle loop
+//! on the same scale.
 
 use catch_bench::{eval_from_env, pin_ooo};
 use catch_core::experiments::GOLDEN_WORKLOADS;
-use catch_core::{Engine, System, SystemConfig};
+use catch_core::{System, SystemConfig};
 use catch_harness::Harness;
 use catch_workloads::suite;
 use std::path::{Path, PathBuf};
@@ -127,15 +126,17 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
 fn main() {
     let mut eval = eval_from_env();
     pin_ooo(&mut eval);
-    let engine = Engine::from_env();
+    let system = System::new(SystemConfig::baseline_exclusive().with_catch());
+    let cycle_loop = if system.config().core.skip_ahead {
+        "skip-ahead"
+    } else {
+        "naive per-cycle"
+    };
     eprintln!(
         "[sim_throughput] six golden workloads at ops={} seed={} (full-detail, CATCH config, \
-         {} engine)",
-        eval.ops,
-        eval.seed,
-        engine.name()
+         {cycle_loop} loop)",
+        eval.ops, eval.seed,
     );
-    let system = System::new(SystemConfig::baseline_exclusive().with_catch());
     let mut harness = Harness::new("sim_throughput");
     let mut rates = Vec::new();
     for &name in GOLDEN_WORKLOADS.iter() {
@@ -214,9 +215,9 @@ fn main() {
         "sim_throughput: reference {reference:.3} Mcycles/s, measured {geo_cycles:.3} \
          ({delta_pct:+.1}%)"
     );
-    // Engine comparison against the pre-optimisation-PR baseline: the
-    // pre_pr block was blessed on the tick loop before the event-queue
-    // engine landed, so this ratio is the engine PR's headline speedup.
+    // Comparison against the pre-optimisation baseline: the pre_pr
+    // block was blessed before the calendar-queue skip landed, so this
+    // ratio is that change's headline speedup.
     let pre_geo = existing
         .as_deref()
         .and_then(|j| extract_object(j, "pre_pr"))
@@ -224,9 +225,8 @@ fn main() {
     if let Some(pre) = pre_geo.filter(|&p| p > 0.0) {
         let speedup = geo_cycles / pre;
         println!(
-            "sim_throughput: {} engine speedup vs pre-PR baseline {pre:.3} Mcycles/s: \
-             {speedup:.2}x",
-            engine.name()
+            "sim_throughput: {cycle_loop} speedup vs pre-PR baseline {pre:.3} Mcycles/s: \
+             {speedup:.2}x"
         );
         if let Some(min) = std::env::var("CATCH_BENCH_MIN_SPEEDUP")
             .ok()

@@ -6,7 +6,6 @@ use crate::ledger::{FillOrigin, InFlight, InFlightLedger};
 use crate::level::Level;
 use crate::stats::{HierarchyStats, PrefetchTimeliness, TrafficStats};
 use catch_obs::{Event, EventClass, EventKind, Obs, ObsLevel, OccupancyHist};
-use catch_timeq::{Source, WakeBuf};
 use catch_trace::LineAddr;
 use std::fmt::Debug;
 
@@ -35,16 +34,6 @@ pub trait MemoryBackend: Debug + Send {
 
     /// Clears statistics at the end of a warm-up phase (state is kept).
     fn reset_stats(&mut self) {}
-
-    /// Turns on wake-hint capture: subsequent accesses may deposit
-    /// service-completion times ([`catch_timeq::ServiceRequest`]s) for
-    /// the timeq engine. Default: no-op (backends without internal
-    /// timing have nothing to report).
-    fn enable_wake_hints(&mut self) {}
-
-    /// Moves accumulated wake hints into `sink` (bank service
-    /// completions, for the DRAM model). Default: none.
-    fn drain_wake_hints(&mut self, _sink: &mut WakeBuf) {}
 }
 
 /// A backend with a constant access latency; useful for tests and for the
@@ -159,10 +148,6 @@ pub struct CacheHierarchy {
     /// every demand L1D miss.
     mshr_occ: OccupancyHist,
     obs: Obs,
-    /// Wake hints for the timeq engine: miss-fill ready times posted
-    /// while servicing accesses, drained by the owning core after each
-    /// tick. Disabled (free) under the tick engine.
-    wake: WakeBuf,
 }
 
 impl CacheHierarchy {
@@ -190,25 +175,13 @@ impl CacheHierarchy {
             ring: config.ring,
             mshr_occ: OccupancyHist::new(),
             obs: Obs::off(),
-            wake: WakeBuf::new(),
         }
     }
 
-    /// Turns on wake-hint capture for the hierarchy and its backend
-    /// (the timeq engine is driving).
-    pub fn enable_wake_hints(&mut self) {
-        self.wake.enable();
-        self.backend.enable_wake_hints();
-    }
-
-    /// The wake-hint buffer, with any backend hints folded in. The core
-    /// drains this into its calendar queue after each tick.
-    pub fn wake_hints(&mut self) -> &mut WakeBuf {
-        if self.wake.is_enabled() {
-            self.backend.drain_wake_hints(&mut self.wake);
-        }
-        &mut self.wake
-    }
+    /// Does nothing: the hierarchy posts no wake hints, because the
+    /// core's own completion reservation for a demand access already
+    /// covers the cycle its fill lands. Kept for existing callers.
+    pub fn enable_wake_hints(&mut self) {}
 
     /// Attaches an observability handle; subsequent accesses emit
     /// cache-class events through it. Detached by default.
@@ -542,9 +515,6 @@ impl CacheHierarchy {
                 origin: FillOrigin::Demand,
             },
         );
-        // The demand fill lands at `ready`; the requesting core's own
-        // completion reservation coalesces with this hint.
-        self.wake.post_hint(cycle + total_latency, Source::Cache);
 
         AccessOutcome {
             latency: total_latency.max(l1_latency),

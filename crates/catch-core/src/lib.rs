@@ -60,7 +60,7 @@ pub use catch_sample::{SampleConfig, SamplePlan};
 
 // Re-export the pieces users commonly need alongside the facade.
 pub use catch_cache::{HierarchyConfig, HierarchyKind, Level};
-pub use catch_cpu::{CoreConfig, Engine, LoadOracle, TactMode};
+pub use catch_cpu::{CoreConfig, LoadOracle, TactMode};
 pub use catch_obs::{
     merge_parts, part_path, ChromeTraceSink, CountingSink, Event, EventClass, EventKind, EventSink,
     JsonlSink, NullSink, Obs, OccupancyHist, TraceFormat, VecSink,

@@ -2,7 +2,7 @@
 
 use crate::metrics::{MpResult, RunResult};
 use catch_cache::{CacheHierarchy, HierarchyConfig, Level};
-use catch_cpu::{run_fast_functional, Core, CoreConfig, Engine, LiteCore, LoadOracle, TactMode};
+use catch_cpu::{run_fast_functional, Core, CoreConfig, LiteCore, LoadOracle, TactMode};
 use catch_criticality::DetectorConfig;
 use catch_dram::{DramConfig, DramSystem};
 use catch_obs::Obs;
@@ -161,15 +161,6 @@ impl System {
         for &(level, extra) in &self.config.extra_latency {
             hier.add_level_latency(level, extra);
         }
-        // Under the event-queue engine the hierarchy and DRAM deposit
-        // completion-cycle wake hints that cores drain into their
-        // calendar queues. The hints only add idle-probe cycles (every
-        // one lands on a cycle the core would have slept through), so
-        // the tick engine never needs them — leaving them disabled
-        // keeps its hot path free of the buffering.
-        if self.config.core.engine == Engine::TimeQ && self.config.core.skip_ahead {
-            hier.enable_wake_hints();
-        }
         hier
     }
 
@@ -294,7 +285,7 @@ impl System {
                 let target = cores
                     .iter_mut()
                     .filter(|c| !c.done())
-                    .filter_map(|c| c.next_wake_cycle(true))
+                    .filter_map(|c| c.next_wake_cycle())
                     .min();
                 if let Some(target) = target {
                     for core in cores.iter_mut() {

@@ -3,8 +3,8 @@
 use catch_cache::Level;
 use catch_criticality::{DetectorConfig, HeuristicConfig};
 use catch_prefetch::TactConfig;
-use catch_timeq::Engine;
 use catch_trace::OpClass;
+use std::ffi::OsStr;
 
 /// Execution latency per op class, in cycles.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -195,18 +195,28 @@ pub struct CoreConfig {
     /// Code lines the runahead may prefetch per stall.
     pub code_runahead_lines: usize,
     /// Stall skip-ahead: when a tick makes no pipeline progress, jump
-    /// the clock to the next event (earliest MSHR fill, readiness,
-    /// fetch resume) instead of ticking idle cycles. Statistics, event
+    /// the clock to the earliest wake reservation in the core's `timeq`
+    /// calendar queue instead of ticking idle cycles. Statistics, event
     /// streams and occupancy histograms are bit-identical either way
-    /// (asserted by the `skip_ahead_parity` suite); the toggle exists
-    /// for that parity testing and for measuring the speedup.
+    /// (asserted by the `engine_parity` suite); `false` keeps the naive
+    /// per-cycle loop as the differential oracle.
     pub skip_ahead: bool,
-    /// Which cycle engine drives the run: the reference per-cycle tick
-    /// loop, or the `timeq` event queue that jumps between posted
-    /// `ServiceRequest` timestamps. Both are bit-identical (asserted by
-    /// the `engine_parity` suite); with `skip_ahead` off the engine is
-    /// irrelevant — every cycle ticks.
-    pub engine: Engine,
+}
+
+/// Resolves [`CoreConfig::skip_ahead`] from the value of `CATCH_NO_SKIP`:
+/// unset selects stall skip-ahead, `1` the naive per-cycle loop.
+///
+/// # Panics
+///
+/// Panics on any other value, naming the variable — a `0` or empty
+/// value silently selecting the slow reference loop would mislead a
+/// timing run.
+fn skip_ahead_from(no_skip: Option<&OsStr>) -> bool {
+    match no_skip {
+        None => true,
+        Some(v) if v == "1" => false,
+        Some(v) => panic!("CATCH_NO_SKIP: invalid value {v:?}: expected unset or '1'"),
+    }
 }
 
 impl CoreConfig {
@@ -234,11 +244,9 @@ impl CoreConfig {
             max_outstanding_loads: 16,
             code_runahead_lines: 8,
             // `CATCH_NO_SKIP=1` forces the naive per-cycle loop — used
-            // by the parity suite and the CI throughput comparison.
-            skip_ahead: std::env::var_os("CATCH_NO_SKIP").is_none(),
-            // `CATCH_ENGINE=tick|timeq` selects the cycle engine (the
-            // parity suite sets it per-System instead).
-            engine: Engine::from_env(),
+            // by the CI throughput comparison and the naive-loop smoke
+            // run (the parity suite sets the field per-System instead).
+            skip_ahead: skip_ahead_from(std::env::var_os("CATCH_NO_SKIP").as_deref()),
         }
     }
 
@@ -297,5 +305,21 @@ mod tests {
     #[should_panic]
     fn load_latency_is_not_static() {
         let _ = ExecLatencies::skylake().of(OpClass::Load);
+    }
+
+    #[test]
+    fn no_skip_unset_skips_and_one_selects_the_naive_loop() {
+        assert!(skip_ahead_from(None));
+        assert!(!skip_ahead_from(Some(OsStr::new("1"))));
+    }
+
+    #[test]
+    fn no_skip_rejects_other_values() {
+        for bad in ["0", "", "true", " 1"] {
+            let err = std::panic::catch_unwind(|| skip_ahead_from(Some(OsStr::new(bad))))
+                .expect_err("value must be rejected");
+            let msg = err.downcast_ref::<String>().expect("formatted panic");
+            assert!(msg.contains("CATCH_NO_SKIP"), "{msg}");
+        }
     }
 }

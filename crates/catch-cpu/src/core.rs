@@ -9,7 +9,7 @@ use catch_cache::{AccessKind, CacheHierarchy};
 use catch_criticality::{AnyDetector, CriticalityDetector, HeuristicDetector, RetiredInst};
 use catch_obs::{Event, EventClass, EventKind, Obs, OccupancyHist, OCC_SAMPLE_PERIOD};
 use catch_prefetch::MemoryImage;
-use catch_timeq::{CalendarQueue, Engine, ServiceRequest, Source};
+use catch_timeq::{CalendarQueue, ServiceRequest, Source};
 use catch_trace::hash::FxHashMap;
 use catch_trace::{ArchReg, MicroOp, OpClass, Trace};
 use std::collections::VecDeque;
@@ -51,14 +51,11 @@ pub struct Core {
     /// (bounded by `max_outstanding_loads` — the L1D MSHR file).
     outstanding_loads: Vec<u64>,
     obs: Obs,
-    /// The event queue driving stall skip-ahead under
-    /// [`Engine::TimeQ`]: every wake source posts a [`ServiceRequest`]
-    /// at its event cycle, and the idle-skip target is an O(1) queue
-    /// peek instead of a window rescan.
+    /// The event queue driving stall skip-ahead: every wake source
+    /// posts a [`ServiceRequest`] at its event cycle, and the idle-skip
+    /// target is an O(1) queue peek. Posting is skipped when
+    /// `skip_ahead` is off (idle spans are then walked tick by tick).
     timeq: CalendarQueue,
-    /// Cached `engine == TimeQ && skip_ahead` (posting is pointless
-    /// when idle spans are walked tick by tick).
-    use_timeq: bool,
     /// ROB occupancy, sampled every [`OCC_SAMPLE_PERIOD`] cycles.
     rob_occ: OccupancyHist,
     /// Scheduler pressure (unissued ops clamped to the window), same cadence.
@@ -71,7 +68,6 @@ impl Core {
     /// Creates a core for `trace` with the given configuration.
     pub fn new(id: usize, trace: Trace, config: CoreConfig) -> Self {
         let image = MemoryImage::from_trace(&trace);
-        let use_timeq = config.engine == Engine::TimeQ && config.skip_ahead;
         Core {
             id,
             frontend: Frontend::new(id, &config),
@@ -99,7 +95,6 @@ impl Core {
             pending_redirect: None,
             obs: Obs::off(),
             timeq: CalendarQueue::new(),
-            use_timeq,
             rob_occ: OccupancyHist::default(),
             sched_occ: OccupancyHist::default(),
             mshr_occ: OccupancyHist::default(),
@@ -199,27 +194,7 @@ impl Core {
         progress |= self.fetch_stage(hier, cycle);
         self.cycle += 1;
         self.periodic_maintenance(hier);
-        if self.use_timeq {
-            self.drain_wake_hints(hier);
-        }
         progress
-    }
-
-    /// Moves the wake hints the hierarchy (cache levels, DRAM, TACT)
-    /// deposited during this tick into the event queue. Demand hints
-    /// coalesce with the core's own completion tickets at the same
-    /// cycle; any extra cycle only adds a bit-reproducible idle probe.
-    fn drain_wake_hints(&mut self, hier: &mut CacheHierarchy) {
-        let buf = hier.wake_hints();
-        if buf.is_idle() {
-            return;
-        }
-        let q = &mut self.timeq;
-        buf.drain_into(&mut |req| {
-            if let Err(bp) = q.post(req) {
-                let _ = q.post(ServiceRequest::new(bp.retry_at, req.source));
-            }
-        });
     }
 
     /// Posts a wake reservation for `at`, absorbing [`Backpressure`]
@@ -233,19 +208,16 @@ impl Core {
         }
     }
 
-    /// The skip target for the active engine: [`Engine::Tick`]
-    /// recomputes it by scanning ([`Core::next_event_cycle`]);
-    /// [`Engine::TimeQ`] peeks the calendar queue. The queue may hold
-    /// front-end reservations a fetchless drain loop would not scan
-    /// for; probing those cycles is harmless (drain ticks neither
-    /// sample nor account), so `include_fetch` only shapes the scan
-    /// path. Public for the multi-programmed lockstep driver.
-    pub fn next_wake_cycle(&mut self, include_fetch: bool) -> Option<u64> {
-        if self.use_timeq {
-            self.timeq.peek_next(self.cycle)
-        } else {
-            self.next_event_cycle(include_fetch)
-        }
+    /// The skip target: the earliest pending wake reservation at or
+    /// after the current cycle, a lower bound on the next cycle any
+    /// pipeline stage can make progress. The queue may hold front-end
+    /// reservations a fetchless drain loop does not need; probing those
+    /// cycles is harmless (drain ticks neither sample nor account).
+    /// Public for the multi-programmed lockstep driver, which may only
+    /// jump when every live core is idle and must use the minimum
+    /// across cores. `None` only for a finished (or deadlocked) core.
+    pub fn next_wake_cycle(&mut self) -> Option<u64> {
+        self.timeq.peek_next(self.cycle)
     }
 
     /// One scheduling quantum with stall skip-ahead: a normal tick,
@@ -256,7 +228,7 @@ impl Core {
     pub fn tick_or_skip(&mut self, hier: &mut CacheHierarchy) {
         let progress = self.tick_progress(hier);
         if !progress && self.config.skip_ahead {
-            if let Some(target) = self.next_wake_cycle(true) {
+            if let Some(target) = self.next_wake_cycle() {
                 if target > self.cycle {
                     self.advance_to(hier, target, true);
                 }
@@ -327,68 +299,6 @@ impl Core {
             .map(|e| e.id)
             .unwrap_or(self.next_id);
         self.last_store.retain(|_, id| *id >= floor);
-    }
-
-    /// The earliest cycle `>= self.cycle` at which a pipeline stage
-    /// could possibly make progress, given that the tick that just ran
-    /// made none. `include_fetch` is false for [`Core::drain`], whose
-    /// loop never fetches. Returns `None` when no event source exists
-    /// (only possible for a finished or deadlocked core).
-    ///
-    /// Every candidate is a *lower bound* on its source's next progress
-    /// cycle, so jumping to the minimum can never step over work; an
-    /// early candidate merely costs one extra idle probe tick. Public
-    /// for the multi-programmed driver, which may only jump when every
-    /// live core is idle and must use the minimum across cores.
-    pub fn next_event_cycle(&mut self, include_fetch: bool) -> Option<u64> {
-        let now = self.cycle;
-        let prev = now.saturating_sub(1);
-        let mut next = u64::MAX;
-        // Retirement: the head's completion cycle, if it has issued.
-        if let Some(done) = self.rob.head_completion() {
-            next = next.min(done.max(now));
-        }
-        // Issue, unpromoted entries: the earliest wake-heap
-        // reservation is a lower bound on the next cycle any of them
-        // becomes issuable (an entry still waiting on an unissued
-        // producer has no reservation, but that producer must issue
-        // first and is itself covered here or below).
-        if let Some(eff) = self.rob.next_wake_eff() {
-            next = next.min(eff.max(now));
-        }
-        // Issue, promoted entries: one sitting inside the scheduler
-        // window was issuable on the no-progress tick that brought us
-        // here, so it is an MSHR-blocked load (port budgets cannot be
-        // exhausted when nothing issued) — the earliest it can issue
-        // is when the oldest outstanding fill frees its MSHR. Promoted
-        // entries beyond the window enter it at a retirement, which
-        // the head-completion candidate covers.
-        let window = self.rob.len().min(self.config.sched_window);
-        if self.rob.has_issuable_below(window) {
-            match self
-                .outstanding_loads
-                .iter()
-                .filter(|&&done| done > prev)
-                .min()
-            {
-                Some(free_at) => next = next.min((*free_at).max(now)),
-                // No live fill would mean it was not MSHR-blocked
-                // after all; probe the current cycle rather than risk
-                // stepping over an issue.
-                None => next = next.min(now),
-            }
-        }
-        // Fetch: resumes when the I-cache stall ends. A mispredict
-        // block resolves at branch issue (covered above); a full fetch
-        // buffer drains at allocation (also progress).
-        if include_fetch
-            && !self.frontend.blocked()
-            && self.fetch_buffer.len() < self.config.fetch_buffer
-            && !self.frontend.done(&self.trace)
-        {
-            next = next.min(self.frontend.stall_until().max(now));
-        }
-        (next != u64::MAX).then_some(next)
     }
 
     /// Jumps the clock from `self.cycle` to `target`, replaying the
@@ -465,10 +375,9 @@ impl Core {
             self.cycle += 1;
             self.periodic_maintenance(hier);
             if !progress && self.config.skip_ahead {
-                // Same skip as the full loop, minus the fetch event
-                // source (drain never fetches) and minus occupancy
-                // samples / stall accounting (drain ticks take none).
-                if let Some(target) = self.next_wake_cycle(false) {
+                // Same skip as the full loop, minus occupancy samples
+                // and stall accounting (drain ticks take none).
+                if let Some(target) = self.next_wake_cycle() {
                     if target > self.cycle {
                         self.advance_to(hier, target, false);
                     }
@@ -654,7 +563,7 @@ impl Core {
             let id = entry.id;
             let pc = entry.op.pc.get();
             self.rob.start(i, cycle, complete);
-            if self.use_timeq && complete > cycle + 1 {
+            if self.config.skip_ahead && complete > cycle + 1 {
                 // One reservation covers every consequence of this
                 // completion: head retirement, consumer readiness, and
                 // the MSHR slot a miss fill frees. A wake at
@@ -676,7 +585,7 @@ impl Core {
                 self.pending_redirect = None;
                 let resume = complete + self.config.mispredict_penalty;
                 self.frontend.resume_after_redirect(resume);
-                if self.use_timeq {
+                if self.config.skip_ahead {
                     self.post_wake(resume, Source::Frontend);
                 }
             }
@@ -782,7 +691,7 @@ impl Core {
             .frontend
             .fetch(&self.trace, cycle, hier, space, &mut self.fetch_buffer);
         let missed = self.frontend.stats().icache_misses != misses_before;
-        if missed && self.use_timeq {
+        if missed && self.config.skip_ahead {
             // Fetch resumes when the I-cache stall ends.
             self.post_wake(self.frontend.stall_until(), Source::Frontend);
         }

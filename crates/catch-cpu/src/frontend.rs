@@ -285,9 +285,7 @@ impl Frontend {
             .on_stall(miss_line, &mut self.runahead_scratch);
         for &line in &self.runahead_scratch {
             self.stats.code_prefetches += 1;
-            let out = hier.access(self.core_id, AccessKind::CodePrefetch, line, cycle);
-            self.runahead
-                .note_issued(hier.wake_hints(), out.ready_at(cycle));
+            hier.access(self.core_id, AccessKind::CodePrefetch, line, cycle);
         }
     }
 }

@@ -53,7 +53,6 @@ mod rob;
 mod stats;
 
 pub use branch::BranchUnit;
-pub use catch_timeq::Engine;
 pub use config::{CoreConfig, DetectorKind, ExecLatencies, LoadOracle, PortConfig, TactMode};
 pub use core::Core;
 pub use frontend::Frontend;

@@ -46,11 +46,10 @@
 //! the resulting IPC/MPKI error against the full core per workload and
 //! CI gates on the bound.
 //!
-//! Like [`Core`], the lite core supports both cycle engines: the naive
-//! per-cycle tick loop and the `timeq` calendar queue with stall
-//! skip-ahead. Blocked gates (window full, MSHR full, fetch stall,
-//! mispredict redirect) post their wake cycles, so idle spans collapse
-//! to O(1) queue peeks.
+//! Like [`Core`], the lite core runs either the naive per-cycle tick
+//! loop or stall skip-ahead over the `timeq` calendar queue. Blocked
+//! gates (window full, MSHR full, fetch stall, mispredict redirect)
+//! post their wake cycles, so idle spans collapse to O(1) queue peeks.
 
 use crate::config::CoreConfig;
 use crate::core::{CRITICAL_SYNC_INTERVAL, MAINT_PERIOD};
@@ -62,7 +61,7 @@ use catch_cache::{CacheHierarchy, Level};
 use catch_criticality::{AnyDetector, CriticalityDetector, HeuristicDetector, RetiredInst};
 use catch_obs::{Event, EventClass, EventKind, Obs, OccupancyHist, OCC_SAMPLE_PERIOD};
 use catch_prefetch::MemoryImage;
-use catch_timeq::{CalendarQueue, Engine, ServiceRequest, Source};
+use catch_timeq::{CalendarQueue, ServiceRequest, Source};
 use catch_trace::hash::FxHashMap;
 use catch_trace::{ArchReg, MicroOp, OpClass, Trace};
 use std::collections::VecDeque;
@@ -103,8 +102,8 @@ pub struct LiteCore {
     critical_sync_at: u64,
     warmup_snapshot: Option<CoreStats>,
     obs: Obs,
+    /// Wake reservations for stall skip-ahead (see [`Core`]'s).
     timeq: CalendarQueue,
-    use_timeq: bool,
     /// Window occupancy (in-flight, unretired ops), sampled every
     /// [`OCC_SAMPLE_PERIOD`] cycles — the lite analogue of ROB occupancy.
     rob_occ: OccupancyHist,
@@ -120,7 +119,6 @@ impl LiteCore {
     /// Creates a lite core for `trace` with the given configuration.
     pub fn new(id: usize, trace: Trace, config: CoreConfig) -> Self {
         let image = MemoryImage::from_trace(&trace);
-        let use_timeq = config.engine == Engine::TimeQ && config.skip_ahead;
         LiteCore {
             id,
             frontend: Frontend::new(id, &config),
@@ -148,7 +146,6 @@ impl LiteCore {
             warmup_snapshot: None,
             obs: Obs::off(),
             timeq: CalendarQueue::new(),
-            use_timeq,
             config,
             trace,
             rob_occ: OccupancyHist::default(),
@@ -239,9 +236,6 @@ impl LiteCore {
         if self.cycle.is_multiple_of(MAINT_PERIOD) {
             self.maintenance_at(hier, self.cycle);
         }
-        if self.use_timeq {
-            self.drain_wake_hints(hier);
-        }
         progress
     }
 
@@ -258,54 +252,10 @@ impl LiteCore {
         }
     }
 
-    /// The skip target for the active engine: a calendar-queue peek
-    /// under `timeq`, a gate scan under the tick engine.
+    /// The skip target: the earliest pending wake reservation (see
+    /// [`Core::next_wake_cycle`]).
     pub fn next_wake_cycle(&mut self) -> Option<u64> {
-        if self.use_timeq {
-            self.timeq.peek_next(self.cycle)
-        } else {
-            self.next_event_cycle()
-        }
-    }
-
-    /// The earliest cycle ≥ `self.cycle` at which issue or fetch could
-    /// make progress, given the tick that just ran made none. Issue can
-    /// only be gated by the window (front retire pending) or the MSHR
-    /// file (port budgets cannot be exhausted when nothing issued);
-    /// fetch by an I-cache stall. Every candidate is a lower bound.
-    fn next_event_cycle(&mut self) -> Option<u64> {
-        let now = self.cycle;
-        let prev = now.saturating_sub(1);
-        let mut next = u64::MAX;
-        if !self.fetch_buffer.is_empty() {
-            if self.window.len() >= self.config.rob_size {
-                if let Some(&gate) = self.window.front() {
-                    next = next.min(gate.max(now));
-                }
-            }
-            if let Some((op, _)) = self.fetch_buffer.front() {
-                if op.class == OpClass::Load
-                    && self.outstanding_loads.len() >= self.config.max_outstanding_loads
-                {
-                    match self
-                        .outstanding_loads
-                        .iter()
-                        .filter(|&&done| done > prev)
-                        .min()
-                    {
-                        Some(free_at) => next = next.min((*free_at).max(now)),
-                        None => next = next.min(now),
-                    }
-                }
-            }
-        }
-        if !self.frontend.blocked()
-            && self.fetch_buffer.len() < self.config.fetch_buffer
-            && !self.frontend.done(&self.trace)
-        {
-            next = next.min(self.frontend.stall_until().max(now));
-        }
-        (next != u64::MAX).then_some(next)
+        self.timeq.peek_next(self.cycle)
     }
 
     /// Jumps the clock to `target`, replaying the per-cycle side effects
@@ -348,19 +298,6 @@ impl LiteCore {
         // its dependence edge has long been consumed by any load that
         // needed it, so the entry is dead weight.
         self.last_store.retain(|_, (_, done)| *done >= now);
-    }
-
-    fn drain_wake_hints(&mut self, hier: &mut CacheHierarchy) {
-        let buf = hier.wake_hints();
-        if buf.is_idle() {
-            return;
-        }
-        let q = &mut self.timeq;
-        buf.drain_into(&mut |req| {
-            if let Err(bp) = q.post(req) {
-                let _ = q.post(ServiceRequest::new(bp.retry_at, req.source));
-            }
-        });
     }
 
     fn post_wake(&mut self, at: u64, source: Source) {
@@ -424,7 +361,7 @@ impl LiteCore {
             if self.window.len() >= self.config.rob_size {
                 let gate = *self.window.front().expect("non-empty window");
                 if gate > cycle {
-                    if self.use_timeq && issued == 0 {
+                    if self.config.skip_ahead && issued == 0 {
                         self.post_wake(gate, Source::Exec);
                     }
                     break;
@@ -451,7 +388,7 @@ impl LiteCore {
             {
                 self.outstanding_loads.retain(|&done| done > cycle);
                 if self.outstanding_loads.len() >= self.config.max_outstanding_loads {
-                    if self.use_timeq && issued == 0 {
+                    if self.config.skip_ahead && issued == 0 {
                         if let Some(&free_at) = self.outstanding_loads.iter().min() {
                             self.post_wake(free_at, Source::Exec);
                         }
@@ -593,7 +530,7 @@ impl LiteCore {
             if mispredicted {
                 let resume = complete + self.config.mispredict_penalty;
                 self.frontend.resume_after_redirect(resume);
-                if self.use_timeq {
+                if self.config.skip_ahead {
                     self.post_wake(resume, Source::Frontend);
                 }
             }
@@ -614,7 +551,7 @@ impl LiteCore {
             .frontend
             .fetch(&self.trace, cycle, hier, space, &mut self.fetch_buffer);
         let missed = self.frontend.stats().icache_misses != misses_before;
-        if missed && self.use_timeq {
+        if missed && self.config.skip_ahead {
             self.post_wake(self.frontend.stall_until(), Source::Frontend);
         }
         pushed > 0 || missed
@@ -868,8 +805,8 @@ mod tests {
 
     #[test]
     fn engines_agree_bit_exactly() {
-        // The tick loop and the calendar queue must produce identical
-        // stats, like the full core's engine-parity guarantee.
+        // The naive loop and the calendar-queue skip must produce
+        // identical stats, like the full core's engine-parity guarantee.
         let build = || {
             let mut b = TraceBuilder::new("par");
             for i in 0..3000u64 {
@@ -880,13 +817,13 @@ mod tests {
             }
             b.build()
         };
-        let mut tick = CoreConfig::baseline();
-        tick.engine = Engine::Tick;
-        let mut timeq = tick.clone();
-        timeq.engine = Engine::TimeQ;
-        let a = LiteCore::new(0, build(), tick).run_to_completion(&mut hier());
-        let b = LiteCore::new(0, build(), timeq).run_to_completion(&mut hier());
-        assert_eq!(a, b, "lite engines must agree bit-exactly");
+        let mut naive = CoreConfig::baseline();
+        naive.skip_ahead = false;
+        let mut skip = naive.clone();
+        skip.skip_ahead = true;
+        let a = LiteCore::new(0, build(), naive).run_to_completion(&mut hier());
+        let b = LiteCore::new(0, build(), skip).run_to_completion(&mut hier());
+        assert_eq!(a, b, "lite loops must agree bit-exactly");
     }
 
     #[test]

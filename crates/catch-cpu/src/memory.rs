@@ -310,9 +310,7 @@ impl MemoryInterface {
                         line: pf_line.get(),
                     },
                 });
-                let out = hier.access(self.core_id, AccessKind::TactPrefetch, pf_line, cycle);
-                self.tact
-                    .note_issued(hier.wake_hints(), out.ready_at(cycle));
+                hier.access(self.core_id, AccessKind::TactPrefetch, pf_line, cycle);
             }
         }
 

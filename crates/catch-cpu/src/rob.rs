@@ -341,31 +341,6 @@ impl Rob {
     pub fn next_issuable_at_or_after(&self, from: usize) -> Option<usize> {
         self.issuable_mask.next_set_at_or_after(from)
     }
-
-    /// True when some promoted entry sits inside the scheduler window.
-    /// After a no-progress tick this pins the entry as an MSHR-blocked
-    /// load: port budgets cannot be exhausted when nothing issued.
-    pub fn has_issuable_below(&self, window: usize) -> bool {
-        self.issuable_mask
-            .next_set_at_or_after(0)
-            .is_some_and(|i| i < window)
-    }
-
-    /// Earliest effective-ready cycle still parked in the wake heap, if
-    /// any — a lower bound on the next cycle an unpromoted entry can
-    /// issue, used as a skip-ahead candidate.
-    pub fn next_wake_eff(&self) -> Option<u64> {
-        self.wake_heap.peek().map(|&Reverse((eff, _))| eff)
-    }
-
-    /// Earliest cycle at which the head could retire, if known (for cycle
-    /// skipping).
-    pub fn head_completion(&self) -> Option<u64> {
-        self.entries
-            .front()
-            .filter(|e| e.started)
-            .map(|e| e.complete)
-    }
 }
 
 #[cfg(test)]
@@ -442,14 +417,5 @@ mod tests {
         let mut rob = Rob::new(1);
         rob.allocate(RobEntry::new(0, op(), [None; 4], false), 0);
         rob.allocate(RobEntry::new(1, op(), [None; 4], false), 0);
-    }
-
-    #[test]
-    fn head_completion_for_cycle_skipping() {
-        let mut rob = Rob::new(2);
-        rob.allocate(RobEntry::new(0, op(), [None; 4], false), 0);
-        assert_eq!(rob.head_completion(), None);
-        rob.start(0, 0, 42);
-        assert_eq!(rob.head_completion(), Some(42));
     }
 }

@@ -5,7 +5,6 @@ use crate::config::DramConfig;
 use crate::stats::DramStats;
 use catch_cache::MemoryBackend;
 use catch_obs::{Event, EventClass, EventKind, Obs, ObsRowOutcome};
-use catch_timeq::{Source, WakeBuf};
 use catch_trace::LineAddr;
 
 fn obs_outcome(outcome: RowOutcome) -> ObsRowOutcome {
@@ -39,10 +38,6 @@ pub struct DramSystem {
     t_ras: u64,
     t_burst: u64,
     obs: Obs,
-    /// Bank-timing wake hints for the timeq engine: each read posts the
-    /// cycle its data burst leaves the channel. Disabled (free) under
-    /// the tick engine.
-    wake: WakeBuf,
 }
 
 impl DramSystem {
@@ -61,7 +56,6 @@ impl DramSystem {
             config,
             stats: DramStats::default(),
             obs: Obs::off(),
-            wake: WakeBuf::new(),
         }
     }
 
@@ -166,9 +160,6 @@ impl DramSystem {
             },
         });
         let (done, outcome, bank) = self.service(line, cycle);
-        // The bank+bus release the data at `done` — the memory-side
-        // wake event behind the requester's completion reservation.
-        self.wake.post_hint(done, Source::Dram);
         let latency = done - cycle;
         self.stats.total_read_latency += latency;
         self.obs.emit(EventClass::DRAM, || Event {
@@ -200,17 +191,6 @@ impl MemoryBackend for DramSystem {
 
     fn reset_stats(&mut self) {
         DramSystem::reset_stats(self);
-    }
-
-    fn enable_wake_hints(&mut self) {
-        self.wake.enable();
-    }
-
-    fn drain_wake_hints(&mut self, sink: &mut WakeBuf) {
-        if !self.wake.is_idle() {
-            self.wake
-                .drain_into(&mut |req| sink.post_hint(req.at, req.source));
-        }
     }
 }
 

@@ -76,13 +76,6 @@ impl CodeRunahead {
         self.last_issued = lines.last().copied().or(self.last_issued);
     }
 
-    /// Announces an issued code prefetch's expected arrival cycle to
-    /// the timeq engine via `sink` (accounting only — see
-    /// [`catch_timeq::Source::gating`]).
-    pub fn note_issued(&self, sink: &mut catch_timeq::WakeBuf, arrival: u64) {
-        sink.post_hint(arrival, catch_timeq::Source::Tact);
-    }
-
     /// Called on a branch misprediction or when the NIP catches up with
     /// the CNPIP: the runahead restarts from the new stream.
     pub fn on_redirect(&mut self) {

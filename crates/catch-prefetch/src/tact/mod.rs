@@ -212,15 +212,6 @@ impl TactPrefetcher {
         self.targets.contains(pc)
     }
 
-    /// Announces an issued prefetch's expected arrival cycle to the
-    /// timeq engine via `sink`. Prefetch arrivals never gate core
-    /// progress, so the queue accounts the request without scheduling a
-    /// wake ([`catch_timeq::Source::gating`]); under the tick engine
-    /// the disabled buffer makes this a single branch.
-    pub fn note_issued(&self, sink: &mut catch_timeq::WakeBuf, arrival: u64) {
-        sink.post_hint(arrival, catch_timeq::Source::Tact);
-    }
-
     /// Observes register flow of a micro-op at allocation/rename time
     /// (in program order, as the paper's feeder-tracking hardware does).
     pub fn on_op(&mut self, op: &MicroOp) {

@@ -21,7 +21,7 @@ impl TriggerEntry {
 }
 
 /// Set-associative cache of recently touched 4 KB pages, remembering the
-/// first [`PCS_PER_PAGE`] load PCs that touched each page during its
+/// first `PCS_PER_PAGE` load PCs that touched each page during its
 /// residency (paper: 8 sets × 8 ways, first 4 PCs). The PCs are stored
 /// inline, so observing a load never allocates.
 ///

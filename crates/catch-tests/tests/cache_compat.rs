@@ -22,7 +22,7 @@
 use catch_cache::Level;
 use catch_core::experiments::{EvalConfig, Fidelity};
 use catch_core::report::json::run_result_to_json;
-use catch_core::{run_fingerprint, CacheMode, Engine, LoadOracle, RunCache, System, SystemConfig};
+use catch_core::{run_fingerprint, CacheMode, LoadOracle, RunCache, System, SystemConfig};
 use catch_criticality::DetectorConfig;
 use std::path::{Path, PathBuf};
 
@@ -34,11 +34,10 @@ fn blessing() -> bool {
     std::env::var_os("CATCH_BLESS").is_some()
 }
 
-/// `config` with the two env-captured core fields (`CATCH_ENGINE`,
-/// `CATCH_NO_SKIP`) pinned to their defaults, so the keys do not depend
-/// on the environment the suite runs under.
+/// `config` with the env-captured core field (`CATCH_NO_SKIP`) pinned
+/// to its default, so the keys do not depend on the environment the
+/// suite runs under.
 fn pinned(mut config: SystemConfig) -> SystemConfig {
-    config.core.engine = Engine::TimeQ;
     config.core.skip_ahead = true;
     config
 }

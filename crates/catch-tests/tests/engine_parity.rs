@@ -1,24 +1,23 @@
-//! Cycle-engine parity: the `timeq` event-queue engine must be
-//! *bit-identical* to the reference tick loop — every counter, every
-//! occupancy histogram bucket, and every emitted observability event,
-//! on every golden workload, in every run mode (ST, CATCH, MP,
-//! sampled, observed).
+//! Cycle-loop parity: stall skip-ahead over the `timeq` calendar queue
+//! must be *bit-identical* to the naive one-cycle-at-a-time loop —
+//! every counter, every occupancy histogram bucket, and every emitted
+//! observability event, on every golden workload, in every run mode
+//! (ST, CATCH, MP, sampled, observed) and on the timing-lite rung.
 //!
-//! The tick engine finds each idle-skip target by rescanning the
-//! scheduler window ([`Core::next_event_cycle`]); the timeq engine
-//! peeks a calendar queue into which every wake source posted a
-//! `ServiceRequest` when the event was armed. Both targets are lower
-//! bounds on the next progress cycle, so any divergence in these
-//! suites means a reservation was posted on the wrong side of an
-//! event — exactly the bug class an event-driven engine breeds.
+//! When a tick makes no progress, the skip jumps the clock to the
+//! earliest wake reservation the core posted when it armed an event
+//! (a µop's completion, an I-cache stall's end, a redirect resume),
+//! bulk-reproducing the per-cycle side effects (occupancy samples,
+//! I-cache stall accounting, periodic maintenance) the naive loop
+//! would have performed. Every reservation is a lower bound on the
+//! next progress cycle, so any divergence here means a wake was posted
+//! on the wrong side of an event — or not at all.
 //!
-//! `CoreConfig::engine` (env: `CATCH_ENGINE=tick|timeq`) exists so
-//! both engines stay runnable forever.
-//!
-//! [`Core::next_event_cycle`]: catch_cpu::Core::next_event_cycle
+//! `CoreConfig::skip_ahead` (env: `CATCH_NO_SKIP=1` for the naive
+//! loop) exists so both loops stay runnable forever.
 
 use catch_core::report::json::run_results_to_json;
-use catch_core::{Engine, EventClass, Obs, SampleConfig, System, SystemConfig, VecSink};
+use catch_core::{EventClass, Obs, SampleConfig, System, SystemConfig, VecSink};
 use catch_workloads::suite;
 use std::sync::{Arc, Mutex};
 
@@ -35,67 +34,87 @@ const OPS: usize = 25_000;
 const WARMUP: usize = 8_000;
 const SEED: u64 = 42;
 
-fn with_engine(mut config: SystemConfig, engine: Engine) -> System {
-    // Pin skip-ahead on regardless of CATCH_NO_SKIP: with it off the
-    // engine never consults a skip target and the comparison is vacuous.
-    config.core.skip_ahead = true;
-    config.core.engine = engine;
+/// The naive loop (`false`) or the event-driven skip (`true`),
+/// regardless of `CATCH_NO_SKIP`.
+fn with_skip(mut config: SystemConfig, skip: bool) -> System {
+    config.core.skip_ahead = skip;
     System::new(config)
 }
 
 #[test]
 fn st_counters_bit_identical_on_every_golden_workload() {
-    let tick = with_engine(SystemConfig::baseline_exclusive(), Engine::Tick);
-    let timeq = with_engine(SystemConfig::baseline_exclusive(), Engine::TimeQ);
+    let naive = with_skip(SystemConfig::baseline_exclusive(), false);
+    let skip = with_skip(SystemConfig::baseline_exclusive(), true);
     for name in SLICE {
         let trace = suite::by_name(name)
             .expect("known workload")
             .generate(OPS, SEED);
-        let a = tick.run_st_warm(trace.clone(), WARMUP);
-        let b = timeq.run_st_warm(trace, WARMUP);
+        let a = naive.run_st_warm(trace.clone(), WARMUP);
+        let b = skip.run_st_warm(trace, WARMUP);
         assert_eq!(
             run_results_to_json(&[a]),
             run_results_to_json(&[b]),
-            "timeq diverged from the tick engine on {name}"
+            "skip-ahead diverged from the naive loop on {name}"
         );
     }
 }
 
 #[test]
 fn catch_config_counters_bit_identical() {
-    // The full CATCH machine adds the TACT prefetchers (whose wake
-    // hints are non-gating and must stay out of the queue) and the
-    // criticality detector on top of the baseline pipeline.
-    let tick = with_engine(
-        SystemConfig::baseline_exclusive().with_catch(),
-        Engine::Tick,
-    );
-    let timeq = with_engine(
-        SystemConfig::baseline_exclusive().with_catch(),
-        Engine::TimeQ,
-    );
+    // The full CATCH machine adds the TACT prefetchers (whose arrivals
+    // gate nothing and post no wake) and the criticality detector on
+    // top of the baseline pipeline.
+    let naive = with_skip(SystemConfig::baseline_exclusive().with_catch(), false);
+    let skip = with_skip(SystemConfig::baseline_exclusive().with_catch(), true);
     for name in ["tpcc_like", "xalanc_like"] {
         let trace = suite::by_name(name)
             .expect("known workload")
             .generate(OPS, SEED);
-        let a = tick.run_st_warm(trace.clone(), WARMUP);
-        let b = timeq.run_st_warm(trace, WARMUP);
+        let a = naive.run_st_warm(trace.clone(), WARMUP);
+        let b = skip.run_st_warm(trace, WARMUP);
         assert_eq!(
             run_results_to_json(&[a]),
             run_results_to_json(&[b]),
-            "timeq diverged under CATCH on {name}"
+            "skip-ahead diverged under CATCH on {name}"
         );
     }
 }
 
 #[test]
+fn lite_counters_bit_identical_on_every_golden_workload() {
+    // The timing-lite rung posts its own gate wakes (window, MSHR,
+    // fetch stall, redirect); its skip must be exact too.
+    for config in [
+        SystemConfig::baseline_exclusive(),
+        SystemConfig::baseline_exclusive().with_catch(),
+    ] {
+        let naive = with_skip(config.clone(), false);
+        let skip = with_skip(config, true);
+        for name in SLICE {
+            let trace = suite::by_name(name)
+                .expect("known workload")
+                .generate(OPS, SEED);
+            let a = naive.run_st_lite(trace.clone(), WARMUP);
+            let b = skip.run_st_lite(trace, WARMUP);
+            assert_eq!(
+                run_results_to_json(&[a]),
+                run_results_to_json(&[b]),
+                "lite skip-ahead diverged on {name} under {}",
+                naive.config().name
+            );
+        }
+    }
+}
+
+#[test]
 fn event_streams_bit_identical() {
-    // Every observability event — cycle stamps included — must match.
-    // This is the strongest form of the parity claim: a queue target
-    // one cycle late moves an occupancy sample or stall increment even
-    // when the final counters happen to agree.
-    let collect = |engine: Engine| {
-        let system = with_engine(SystemConfig::baseline_exclusive().with_catch(), engine);
+    // Every observability event — cycle stamps included — must match,
+    // exactly as `--trace-events all` would record them. This is the
+    // strongest form of the parity claim: a wake one cycle late moves
+    // an occupancy sample or stall increment even when the final
+    // counters happen to agree.
+    let collect = |skip: bool| {
+        let system = with_skip(SystemConfig::baseline_exclusive().with_catch(), skip);
         let trace = suite::by_name("tpcc_like")
             .expect("known workload")
             .generate(6_000, SEED);
@@ -106,62 +125,47 @@ fn event_streams_bit_identical() {
         let events = sink.lock().expect("sink lock").take();
         events
     };
-    let tick = collect(Engine::Tick);
-    let timeq = collect(Engine::TimeQ);
-    assert_eq!(tick.len(), timeq.len(), "event counts diverged");
-    for (i, (a, b)) in tick.iter().zip(timeq.iter()).enumerate() {
+    let naive = collect(false);
+    let skip = collect(true);
+    assert_eq!(naive.len(), skip.len(), "event counts diverged");
+    for (i, (a, b)) in naive.iter().zip(skip.iter()).enumerate() {
         assert_eq!(a, b, "event {i} diverged");
     }
 }
 
 #[test]
 fn mp_counters_bit_identical() {
-    // The lockstep driver takes the minimum wake target across live
-    // cores; hints drain into whichever core ticked last, so this also
-    // exercises cross-core hint misdelivery (harmless by construction).
+    // The lockstep driver jumps only when every live core is idle, and
+    // only to the minimum wake across cores.
     let mix = catch_workloads::mp::rate4_mixes()
         .into_iter()
         .find(|m| m.name == "rate4_xalanc_like")
         .expect("rate4 mix exists");
-    let tick = with_engine(
-        SystemConfig::baseline_exclusive().with_cores(4),
-        Engine::Tick,
-    );
-    let timeq = with_engine(
-        SystemConfig::baseline_exclusive().with_cores(4),
-        Engine::TimeQ,
-    );
-    let a = tick.run_mp(mix.generate(6_000, SEED));
-    let b = timeq.run_mp(mix.generate(6_000, SEED));
+    let naive = with_skip(SystemConfig::baseline_exclusive().with_cores(4), false);
+    let skip = with_skip(SystemConfig::baseline_exclusive().with_cores(4), true);
+    let a = naive.run_mp(mix.generate(6_000, SEED));
+    let b = skip.run_mp(mix.generate(6_000, SEED));
     assert_eq!(
         run_results_to_json(&a.per_core),
         run_results_to_json(&b.per_core),
-        "timeq diverged on the MP lockstep loop"
+        "skip-ahead diverged on the MP lockstep loop"
     );
 }
 
 #[test]
 fn sampled_runs_bit_identical() {
-    // Sampled mode exercises drain (fetchless skip targets) and
-    // fast-forward (which must discard stale reservations).
+    // Sampled mode exercises drain (fetchless skips) and fast-forward
+    // (which must discard stale reservations).
     let sample = SampleConfig::new(5_000).with_max_clusters(10);
     let trace = suite::by_name("astar_like")
         .expect("known workload")
         .generate(OPS, SEED);
-    let tick = with_engine(SystemConfig::baseline_exclusive(), Engine::Tick)
-        .run_sampled(trace.clone(), &sample);
-    let timeq =
-        with_engine(SystemConfig::baseline_exclusive(), Engine::TimeQ).run_sampled(trace, &sample);
+    let naive =
+        with_skip(SystemConfig::baseline_exclusive(), false).run_sampled(trace.clone(), &sample);
+    let skip = with_skip(SystemConfig::baseline_exclusive(), true).run_sampled(trace, &sample);
     assert_eq!(
-        run_results_to_json(&[tick.result]),
-        run_results_to_json(&[timeq.result]),
-        "timeq diverged in sampled mode"
+        run_results_to_json(&[naive.result]),
+        run_results_to_json(&[skip.result]),
+        "skip-ahead diverged in sampled mode"
     );
-}
-
-#[test]
-fn engine_env_parses_both_names() {
-    assert_eq!(Engine::parse("tick"), Ok(Engine::Tick));
-    assert_eq!(Engine::parse("timeq"), Ok(Engine::TimeQ));
-    assert!(Engine::parse("calendar").is_err());
 }

@@ -124,18 +124,17 @@ fn event_trace_is_cycle_ordered_per_component_and_covers_taxonomy() {
 
 #[test]
 fn event_trace_is_byte_identical_across_cycle_engines() {
-    // The timeq engine jumps the clock between posted wake cycles; a
-    // queue target even one cycle off would shift an event's stamp. The
-    // full JSONL rendering of every event must match the tick engine's
-    // byte for byte — and both must match the blessed golden summary,
-    // so the snapshot never silently tracks a drifting engine.
-    let collect = |engine: catch_core::Engine| {
+    // The event-driven skip jumps the clock between posted wake cycles;
+    // a queue target even one cycle off would shift an event's stamp.
+    // The full JSONL rendering of every event must match the naive
+    // loop's byte for byte — and both must match the blessed golden
+    // summary, so the snapshot never silently tracks a drifting skip.
+    let collect = |skip: bool| {
         let trace = suite::by_name(WORKLOAD)
             .expect("golden workload exists")
             .generate(OPS, SEED);
         let mut config = SystemConfig::baseline_exclusive().with_catch();
-        config.core.skip_ahead = true;
-        config.core.engine = engine;
+        config.core.skip_ahead = skip;
         let sink = Arc::new(Mutex::new(VecSink::new()));
         let obs = Obs::attached(sink.clone(), EventClass::ALL);
         let _ = System::new(config).run_st_obs(trace, &obs);
@@ -143,18 +142,18 @@ fn event_trace_is_byte_identical_across_cycle_engines() {
         let events = sink.lock().expect("sink lock").take();
         events
     };
-    let tick = collect(catch_core::Engine::Tick);
-    let timeq = collect(catch_core::Engine::TimeQ);
-    let tick_bytes: Vec<String> = tick.iter().map(|e| e.to_jsonl()).collect();
-    let timeq_bytes: Vec<String> = timeq.iter().map(|e| e.to_jsonl()).collect();
+    let naive = collect(false);
+    let skip = collect(true);
+    let naive_bytes: Vec<String> = naive.iter().map(|e| e.to_jsonl()).collect();
+    let skip_bytes: Vec<String> = skip.iter().map(|e| e.to_jsonl()).collect();
     assert_eq!(
-        tick_bytes, timeq_bytes,
-        "event trace bytes diverged between cycle engines"
+        naive_bytes, skip_bytes,
+        "event trace bytes diverged between the naive loop and skip-ahead"
     );
     assert_eq!(
-        trace_summary(&timeq),
+        trace_summary(&skip),
         GOLDEN,
-        "timeq trace summary diverged from the blessed golden"
+        "skip-ahead trace summary diverged from the blessed golden"
     );
 }
 

@@ -11,7 +11,7 @@
 //! The engine-level edge cases the queue exists to serve (zero-delay
 //! self-wake, simultaneous multi-component events, backpressure
 //! re-post) are exercised here too, at the API level; the end-to-end
-//! versions live in `engine_parity.rs` and `skip_ahead_parity.rs`.
+//! versions live in `engine_parity.rs`.
 
 use catch_timeq::{
     Backpressure, CalendarQueue, Cycle, HiBitSet, ServiceRequest, Source, WHEEL_SLOTS,
@@ -35,12 +35,10 @@ impl ModelQueue {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        if req.source.gating() {
-            self.pending
-                .entry(req.at)
-                .or_default()
-                .push((seq, req.source));
-        }
+        self.pending
+            .entry(req.at)
+            .or_default()
+            .push((seq, req.source));
         Ok((req.at, seq))
     }
 
@@ -177,17 +175,13 @@ fn simultaneous_multi_component_events_replay_in_post_order() {
     // engine edge case): one bucket, admission order preserved, and the
     // queue is empty afterwards — no source shadows another.
     let mut q = CalendarQueue::new();
-    let gating: Vec<Source> = Source::ALL.into_iter().filter(|s| s.gating()).collect();
-    for (i, &s) in gating.iter().enumerate() {
-        // Interleave a non-gating hint between each pair; they must not
-        // disturb the FIFO sequence of the gating ones.
+    let posted: Vec<Source> = Source::ALL.into_iter().chain(Source::ALL).collect();
+    for &s in &posted {
         q.post(ServiceRequest::new(77, s)).unwrap();
-        let _ = i;
-        q.post(ServiceRequest::new(77, Source::Tact)).unwrap();
     }
     assert_eq!(q.peek_next(0), Some(77));
     let due: Vec<Source> = q.take_due(77).iter().map(|&(_, s)| s).collect();
-    assert_eq!(due, gating, "same-cycle events must replay in post order");
+    assert_eq!(due, posted, "same-cycle events must replay in post order");
     assert_eq!(q.peek_next(78), None);
 }
 
@@ -198,16 +192,18 @@ fn backpressure_repost_is_serviced_before_the_clock_moves() {
     // very next wake — a zero-delay self-wake, not a lost event.
     let mut q = CalendarQueue::new();
     q.peek_next(500);
-    let bp = q.post(ServiceRequest::new(499, Source::Mshr)).unwrap_err();
+    let bp = q
+        .post(ServiceRequest::new(499, Source::Frontend))
+        .unwrap_err();
     assert_eq!(bp.retry_at, 500);
-    q.post(ServiceRequest::new(bp.retry_at, Source::Mshr))
+    q.post(ServiceRequest::new(bp.retry_at, Source::Frontend))
         .unwrap();
     // A later event must not shadow the self-wake.
     q.post(ServiceRequest::new(600, Source::Exec)).unwrap();
     assert_eq!(q.peek_next(500), Some(500));
     let due = q.take_due(500);
     assert_eq!(due.len(), 1);
-    assert_eq!(due[0].1, Source::Mshr);
+    assert_eq!(due[0].1, Source::Frontend);
     assert_eq!(q.peek_next(500), Some(600));
 }
 

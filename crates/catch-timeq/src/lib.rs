@@ -1,14 +1,13 @@
 //! Event-queue engine core (`timeq`) for the CATCH simulator.
 //!
-//! The tick engine walks the clock one cycle at a time (with stall
-//! skip-ahead recomputing "who could wake next" from scratch on every
-//! idle tick). This crate provides the machinery for the event-driven
-//! alternative: components post [`ServiceRequest`]s — cycle-stamped wake
-//! reservations — into a [`CalendarQueue`], and the engine jumps the
-//! clock directly between event timestamps.
+//! The reference model walks the clock one cycle at a time. This crate
+//! provides the machinery for the event-driven skip: the core posts
+//! [`ServiceRequest`]s — cycle-stamped wake reservations — into a
+//! [`CalendarQueue`] when it arms an event, and when a tick makes no
+//! progress the clock jumps directly to the earliest pending one.
 //!
-//! The correctness contract is deliberately weak, which is what makes a
-//! bit-identical engine swap possible (see `DESIGN.md` §11):
+//! The correctness contract is deliberately weak, which is what makes
+//! the skip bit-identical to the per-cycle loop (see `DESIGN.md` §11):
 //!
 //! * every posted request is a **lower bound** on when its source can
 //!   next make architectural progress, and
@@ -18,8 +17,6 @@
 //! Under those two rules the engine may wake early (the probe tick is
 //! idle and bit-reproducible) but can never wake late, so any surplus of
 //! conservative tickets costs only probe ticks — never correctness.
-//! Sources that can *never* gate core progress (prefetch arrivals) are
-//! accounted but not scheduled; see [`Source::gating`].
 //!
 //! # Structure
 //!
@@ -36,9 +33,6 @@
 //! * [`HiBitSet`] — a two-level hierarchical bitmask (word summary over
 //!   bit words) used for the wheel occupancy and exported for ready-set
 //!   style scans.
-//! * [`WakeBuf`] — the component-side posting surface: cache levels,
-//!   DRAM and the TACT prefetchers deposit hints while servicing an
-//!   access; the core drains the buffer into its queue after each tick.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -51,58 +45,32 @@ pub type Cycle = u64;
 /// overflow heap. Must be a power of two.
 pub const WHEEL_SLOTS: usize = 1024;
 
-/// Which component posted a request. Used for accounting and for the
-/// gating policy ([`Source::gating`]).
+/// Which part of the core posted a request (per-source accounting).
+/// Every wake the core needs comes from one of these two: the memory
+/// system's fills are covered by the issuing µop's completion, and
+/// prefetch arrivals gate nothing.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Source {
-    /// Core scheduler: an issued µop's completion (wakes retirement and
-    /// dependants).
+    /// Core scheduler: an issued µop's completion (wakes retirement,
+    /// dependants and the MSHR slot a miss fill frees).
     Exec,
     /// Front end: an I-cache stall ends or a redirect resume lands.
     Frontend,
-    /// L1D MSHR file: a rejected (MSHR-full) load's re-post.
-    Mshr,
-    /// A cache level: demand miss fill ready.
-    Cache,
-    /// DRAM: demand access leaves the memory system (bank timing).
-    Dram,
-    /// TACT prefetcher: a prefetch arrives. Never gates core progress.
-    Tact,
 }
 
 /// Number of [`Source`] variants (per-source accounting arrays).
-pub const SOURCE_COUNT: usize = 6;
+pub const SOURCE_COUNT: usize = 2;
 
 impl Source {
     /// All variants, indexable by [`Source::index`].
-    pub const ALL: [Source; SOURCE_COUNT] = [
-        Source::Exec,
-        Source::Frontend,
-        Source::Mshr,
-        Source::Cache,
-        Source::Dram,
-        Source::Tact,
-    ];
+    pub const ALL: [Source; SOURCE_COUNT] = [Source::Exec, Source::Frontend];
 
     /// Dense index for accounting arrays.
     pub fn index(self) -> usize {
         match self {
             Source::Exec => 0,
             Source::Frontend => 1,
-            Source::Mshr => 2,
-            Source::Cache => 3,
-            Source::Dram => 4,
-            Source::Tact => 5,
         }
-    }
-
-    /// Whether events from this source can gate core progress. A
-    /// prefetch arrival changes cache state that future accesses will
-    /// observe, but no pipeline stage waits on it, so scheduling a probe
-    /// for it would only burn an idle tick. Non-gating hints are counted
-    /// ([`QueueStats::suppressed`]) but not enqueued.
-    pub fn gating(self) -> bool {
-        !matches!(self, Source::Tact)
     }
 }
 
@@ -157,8 +125,6 @@ pub struct QueueStats {
     /// Stale entries dropped (the clock advanced past them during
     /// progress ticks).
     pub stale_dropped: u64,
-    /// Non-gating hints accounted but not enqueued, per [`Source`].
-    pub suppressed: [u64; SOURCE_COUNT],
     /// Admitted requests per [`Source`].
     pub by_source: [u64; SOURCE_COUNT],
 }
@@ -358,10 +324,7 @@ impl CalendarQueue {
     /// Posts a request. Requests at or after the queue's current time
     /// are admitted (same-cycle requests coalesce, preserving post
     /// order); a request strictly into the past is rejected with
-    /// [`Backpressure`] naming the earliest admissible cycle. Non-gating
-    /// sources ([`Source::gating`]) are accounted and acknowledged but
-    /// not scheduled — their ticket carries the cycle yet never produces
-    /// a wake.
+    /// [`Backpressure`] naming the earliest admissible cycle.
     pub fn post(&mut self, req: ServiceRequest) -> Result<Ticket, Backpressure> {
         if req.at < self.now {
             self.stats.rejected += 1;
@@ -369,10 +332,6 @@ impl CalendarQueue {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        if !req.source.gating() {
-            self.stats.suppressed[req.source.index()] += 1;
-            return Ok(Ticket { at: req.at, seq });
-        }
         self.stats.posted += 1;
         self.stats.by_source[req.source.index()] += 1;
         if req.at >= self.now + WHEEL_SLOTS as Cycle {
@@ -498,106 +457,6 @@ impl CalendarQueue {
     }
 }
 
-/// The component-side posting surface: a buffer that cache levels, DRAM
-/// and prefetchers fill with wake hints while servicing a call from the
-/// engine, drained into the engine's [`CalendarQueue`] after the tick.
-/// Disabled (the default) it is a single predictable branch per hint,
-/// so the tick engine pays nothing for the plumbing.
-#[derive(Clone, Debug, Default)]
-pub struct WakeBuf {
-    enabled: bool,
-    hints: Vec<ServiceRequest>,
-}
-
-impl WakeBuf {
-    /// Creates a disabled buffer.
-    pub fn new() -> Self {
-        WakeBuf::default()
-    }
-
-    /// Enables hint capture (the timeq engine is driving).
-    pub fn enable(&mut self) {
-        self.enabled = true;
-    }
-
-    /// True when capture is on.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Deposits a hint: `source`'s service completes at `at`.
-    #[inline]
-    pub fn post_hint(&mut self, at: Cycle, source: Source) {
-        if self.enabled {
-            self.hints.push(ServiceRequest::new(at, source));
-        }
-    }
-
-    /// Moves every pending hint out through `sink` (the engine posts
-    /// them; a hint the clock has passed is simply dropped — its event
-    /// was absorbed by the tick that generated it).
-    #[inline]
-    pub fn drain_into(&mut self, sink: &mut impl FnMut(ServiceRequest)) {
-        for hint in self.hints.drain(..) {
-            sink(hint);
-        }
-    }
-
-    /// True when no hints are pending (the common case; lets callers
-    /// skip the drain entirely).
-    #[inline]
-    pub fn is_idle(&self) -> bool {
-        self.hints.is_empty()
-    }
-}
-
-/// Which cycle engine drives a run. Captured from `CATCH_ENGINE` at
-/// configuration time (like `CATCH_NO_SKIP`), so every run path — tests,
-/// benches, experiments — obeys one toggle.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum Engine {
-    /// The reference model: per-cycle tick loop with stall skip-ahead
-    /// recomputing the next event by scanning.
-    Tick,
-    /// The event-queue engine: wakes come from the [`CalendarQueue`].
-    #[default]
-    TimeQ,
-}
-
-impl Engine {
-    /// Parses an engine name (`"tick"` / `"timeq"`).
-    pub fn parse(s: &str) -> Result<Engine, String> {
-        match s {
-            "tick" => Ok(Engine::Tick),
-            "timeq" => Ok(Engine::TimeQ),
-            other => Err(format!(
-                "invalid engine '{other}': expected 'tick' or 'timeq'"
-            )),
-        }
-    }
-
-    /// Resolves the engine from `CATCH_ENGINE` (default: [`Engine::TimeQ`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid value — a mis-spelled engine silently
-    /// falling back would invalidate a parity run.
-    pub fn from_env() -> Engine {
-        match std::env::var("CATCH_ENGINE") {
-            Ok(v) => Engine::parse(&v).unwrap_or_else(|e| panic!("CATCH_ENGINE: {e}")),
-            Err(_) => Engine::default(),
-        }
-    }
-
-    /// The engine's canonical name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Tick => "tick",
-            Engine::TimeQ => "timeq",
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,11 +482,12 @@ mod tests {
         let mut q = q();
         let a = q.post(ServiceRequest::new(7, Source::Exec)).unwrap();
         let b = q.post(ServiceRequest::new(7, Source::Frontend)).unwrap();
-        let c = q.post(ServiceRequest::new(7, Source::Mshr)).unwrap();
+        let c = q.post(ServiceRequest::new(7, Source::Exec)).unwrap();
         assert!(a.seq < b.seq && b.seq < c.seq);
         let due = q.take_due(7);
+        assert_eq!(due.last().map(|&(seq, _)| seq), Some(c.seq));
         let sources: Vec<Source> = due.iter().map(|&(_, s)| s).collect();
-        assert_eq!(sources, vec![Source::Exec, Source::Frontend, Source::Mshr]);
+        assert_eq!(sources, vec![Source::Exec, Source::Frontend, Source::Exec]);
         assert_eq!(q.stats().coalesced, 2);
     }
 
@@ -639,7 +499,7 @@ mod tests {
         assert_eq!(err.retry_at, 100);
         // The re-post at retry_at is a zero-delay self-wake: admitted
         // and immediately due.
-        q.post(ServiceRequest::new(err.retry_at, Source::Mshr))
+        q.post(ServiceRequest::new(err.retry_at, Source::Exec))
             .unwrap();
         assert_eq!(q.peek_next(100), Some(100));
         assert_eq!(q.stats().rejected, 1);
@@ -659,14 +519,14 @@ mod tests {
     fn overflow_heap_beyond_wheel_horizon() {
         let mut q = q();
         let far = WHEEL_SLOTS as Cycle * 3 + 17;
-        q.post(ServiceRequest::new(far, Source::Dram)).unwrap();
+        q.post(ServiceRequest::new(far, Source::Frontend)).unwrap();
         q.post(ServiceRequest::new(5, Source::Exec)).unwrap();
         assert_eq!(q.stats().overflow, 1);
         assert_eq!(q.peek_next(0), Some(5));
         assert_eq!(q.peek_next(6), Some(far));
         assert_eq!(
             q.take_due(far).iter().map(|&(_, s)| s).collect::<Vec<_>>(),
-            vec![Source::Dram]
+            vec![Source::Frontend]
         );
     }
 
@@ -696,16 +556,6 @@ mod tests {
         assert_eq!(q.peek_next(21), None);
         assert_eq!(q.stats().stale_dropped, 1);
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn non_gating_sources_acknowledged_but_not_scheduled() {
-        let mut q = q();
-        let t = q.post(ServiceRequest::new(30, Source::Tact)).unwrap();
-        assert_eq!(t.at, 30);
-        assert_eq!(q.peek_next(0), None, "prefetch arrivals never wake");
-        assert_eq!(q.stats().suppressed[Source::Tact.index()], 1);
-        assert_eq!(q.stats().posted, 0);
     }
 
     #[test]
@@ -743,28 +593,5 @@ mod tests {
         }
         assert_eq!(s.next_set_at_or_after(1), None);
         assert!(s.contains(0));
-    }
-
-    #[test]
-    fn wakebuf_disabled_captures_nothing() {
-        let mut b = WakeBuf::new();
-        b.post_hint(10, Source::Cache);
-        assert!(b.is_idle());
-        b.enable();
-        b.post_hint(11, Source::Dram);
-        assert!(!b.is_idle());
-        let mut got = Vec::new();
-        b.drain_into(&mut |r| got.push(r));
-        assert_eq!(got, vec![ServiceRequest::new(11, Source::Dram)]);
-        assert!(b.is_idle());
-    }
-
-    #[test]
-    fn engine_parse_and_names() {
-        assert_eq!(Engine::parse("tick"), Ok(Engine::Tick));
-        assert_eq!(Engine::parse("timeq"), Ok(Engine::TimeQ));
-        assert!(Engine::parse("fast").is_err());
-        assert_eq!(Engine::TimeQ.name(), "timeq");
-        assert_eq!(Engine::default(), Engine::TimeQ);
     }
 }

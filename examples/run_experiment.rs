@@ -12,9 +12,7 @@
 //! cargo run --release --example run_experiment -- sample-smoke  # CI gate
 //! cargo run --release --example run_experiment -- obs-smoke     # CI gate
 //! cargo run --release --example run_experiment -- cache-smoke   # CI gate
-//! cargo run --release --example run_experiment -- timeq-smoke   # CI gate
 //! cargo run --release --example run_experiment -- server-smoke  # CI gate
-//! cargo run --release --example run_experiment -- --engine tick fig10
 //! cargo run --release --example run_experiment -- --trace-events t.json
 //! cargo run --release --example run_experiment -- --profile tpcc_like
 //! cargo run --release --example run_experiment -- serve /tmp/catch.sock
@@ -81,17 +79,6 @@
 //! The first pass must build each suite workload's trace once, the
 //! second none.
 //!
-//! The special id `timeq-smoke` is the CI cycle-engine parity gate: it
-//! runs one golden workload under the full CATCH configuration on both
-//! the reference tick loop and the `timeq` event-queue engine, prints a
-//! wall-clock comparison, and exits non-zero unless the two runs retire
-//! bit-identical counters.
-//!
-//! `--engine tick|timeq` selects the cycle engine for ordinary
-//! experiment runs (equivalent to `CATCH_ENGINE`; default: `timeq`).
-//! Results are bit-identical for both — the engine only changes how the
-//! simulator finds the next cycle that can make progress.
-//!
 //! The `serve` subcommand starts the simulation daemon on a unix socket
 //! (see DESIGN.md §12): experiment requests arrive as newline-delimited
 //! JSON frames, are deduplicated against in-flight jobs and the run
@@ -154,11 +141,9 @@
 //! error exceeds its budget (IPC or MPKI).
 
 use catch_core::experiments::{self, runner, EvalConfig, Fidelity, GOLDEN_WORKLOADS};
-use catch_core::report::json::run_results_to_json;
 use catch_core::{
-    merge_parts, part_path, CacheMode, ChromeTraceSink, CountingSink, Engine, EventClass,
-    JsonlSink, NullSink, Obs, OccupancyHist, RunCache, SampleConfig, System, SystemConfig,
-    TraceFormat,
+    merge_parts, part_path, CacheMode, ChromeTraceSink, CountingSink, EventClass, JsonlSink,
+    NullSink, Obs, OccupancyHist, RunCache, SampleConfig, System, SystemConfig, TraceFormat,
 };
 use catch_server::{cachedao, Client, Priority, Server, ServerConfig};
 use catch_workloads::suite;
@@ -169,7 +154,7 @@ use std::time::Instant;
 fn usage_and_exit() -> ! {
     eprintln!(
         "usage: run_experiment [--md] [--jobs N] [--sample I] \
-         [--engine tick|timeq] [--fidelity fast|lite|ooo] \
+         [--fidelity fast|lite|ooo] \
          [--cache-dir DIR] [--no-cache] \
          [--trace-events PATH] [--profile] \
          [--server SOCK] [--client NAME] [--priority P] [--workers N] \
@@ -187,7 +172,6 @@ fn usage_and_exit() -> ! {
     eprintln!("  sample-smoke (CI accuracy gate)");
     eprintln!("  obs-smoke (CI observability-overhead gate)");
     eprintln!("  cache-smoke (CI run-cache gate)");
-    eprintln!("  timeq-smoke (CI cycle-engine parity gate)");
     eprintln!("  server-smoke (CI simulation-service gate)");
     eprintln!("  sweep-smoke (CI sweep resumability gate)");
     eprintln!("  ladder-smoke (CI fidelity-ladder accuracy gate)");
@@ -423,48 +407,6 @@ fn server_smoke(eval: &EvalConfig) -> ! {
         std::process::exit(1);
     }
     println!("server-smoke OK (byte-identical, zero recompute, clean drain)");
-    std::process::exit(0);
-}
-
-/// The CI cycle-engine gate: one golden workload under the CATCH
-/// configuration on both engines, hard-fail unless every counter is
-/// bit-identical. Also prints the wall-clock comparison, since the
-/// event-queue engine's whole reason to exist is throughput.
-fn timeq_smoke(eval: &EvalConfig) -> ! {
-    const WORKLOAD: &str = "tpcc_like";
-    let trace = suite::by_name(WORKLOAD)
-        .expect("golden workload exists")
-        .generate(eval.ops, eval.seed);
-    let build = |engine: Engine| {
-        let mut config = SystemConfig::baseline_exclusive().with_catch();
-        // Pin skip-ahead on: with it off the engine choice is inert and
-        // the comparison would be vacuous.
-        config.core.skip_ahead = true;
-        config.core.engine = engine;
-        System::new(config)
-    };
-    let mut results = Vec::new();
-    for engine in [Engine::Tick, Engine::TimeQ] {
-        let system = build(engine);
-        let t = Instant::now();
-        let result = system.run_st_warm(trace.clone(), eval.warmup);
-        let secs = t.elapsed().as_secs_f64();
-        println!(
-            "timeq-smoke: {WORKLOAD} ops={} engine {:<5} IPC {:.4}, {:.1} ms \
-             ({:.2} Mcycles/s)",
-            eval.ops,
-            engine.name(),
-            result.ipc(),
-            1e3 * secs,
-            result.core.cycles as f64 / secs / 1e6,
-        );
-        results.push(run_results_to_json(&[result]));
-    }
-    if results[0] != results[1] {
-        eprintln!("timeq-smoke FAILED: timeq counters diverged from the tick engine");
-        std::process::exit(1);
-    }
-    println!("timeq-smoke OK (bit-identical counters on both engines)");
     std::process::exit(0);
 }
 
@@ -1001,22 +943,6 @@ fn main() {
                 args.remove(0);
                 sample = Some(i);
             }
-            Some("--engine") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--engine requires 'tick' or 'timeq'");
-                    usage_and_exit();
-                };
-                let engine = Engine::parse(raw).unwrap_or_else(|e| {
-                    eprintln!("invalid --engine: {e}");
-                    usage_and_exit();
-                });
-                args.remove(0);
-                // CoreConfig resolves its engine from the environment,
-                // so the flag funnels through CATCH_ENGINE (same pattern
-                // as --jobs / CATCH_JOBS).
-                std::env::set_var("CATCH_ENGINE", engine.name());
-            }
             Some("--trace-events") => {
                 args.remove(0);
                 let Some(raw) = args.first() else {
@@ -1180,9 +1106,6 @@ fn main() {
     }
     if id == "cache-smoke" {
         cache_smoke(&eval);
-    }
-    if id == "timeq-smoke" {
-        timeq_smoke(&eval);
     }
     if id == "sweep-smoke" {
         sweep_smoke(&eval);
