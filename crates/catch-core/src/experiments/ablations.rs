@@ -5,13 +5,12 @@
 //! over the three-level baseline, so the contribution (or cost) of the
 //! choice is directly visible.
 
-use super::{pct, EvalConfig};
-use crate::metrics::{geomean_ratio, RunResult};
+use super::{pct, run_slice, EvalConfig};
+use crate::metrics::geomean_ratio;
 use crate::report::{ExperimentReport, Table, ValueKind};
-use crate::system::{System, SystemConfig};
+use crate::system::SystemConfig;
 use catch_cache::ReplKind;
 use catch_criticality::DetectorConfig;
-use catch_workloads::suite;
 
 /// Workloads used by the ablations: one per behaviour class.
 const SLICE: [&str; 6] = [
@@ -23,21 +22,10 @@ const SLICE: [&str; 6] = [
     "h264_like",
 ];
 
-fn run_slice(config: &SystemConfig, eval: &EvalConfig) -> Vec<RunResult> {
-    let system = System::new(config.clone());
-    SLICE
-        .iter()
-        .map(|n| {
-            let spec = suite::by_name(n).expect("slice workloads exist");
-            super::run_one(&system, eval, &spec)
-        })
-        .collect()
-}
-
 /// Runs all ablations and reports geomean CATCH gains under each variant.
 pub fn ablations(eval: &EvalConfig) -> ExperimentReport {
-    let base = run_slice(&SystemConfig::baseline_exclusive(), eval);
-    let gain = |config: &SystemConfig| pct(geomean_ratio(&base, &run_slice(config, eval)));
+    let base = run_slice(&SystemConfig::baseline_exclusive(), eval, &SLICE);
+    let gain = |config: &SystemConfig| pct(geomean_ratio(&base, &run_slice(config, eval, &SLICE)));
 
     // 1. Prefetch insertion policy in the L1 (MRU vs LIP).
     let mut insertion = Table::new(
@@ -92,13 +80,13 @@ pub fn ablations(eval: &EvalConfig) -> ExperimentReport {
             rob_size: size,
             ..DetectorConfig::paper()
         };
-        let base_runs = run_slice(&baseline, eval);
+        let base_runs = run_slice(&baseline, eval, &SLICE);
         let mut catch = baseline.clone().with_catch();
         catch.core.detector = DetectorConfig {
             rob_size: size,
             ..DetectorConfig::paper()
         };
-        let catch_runs = run_slice(&catch, eval);
+        let catch_runs = run_slice(&catch, eval, &SLICE);
         rob.push_row(
             format!("ROB {size}"),
             vec![pct(geomean_ratio(&base_runs, &catch_runs))],

@@ -1,13 +1,12 @@
 //! Graph-based vs heuristic criticality detection under CATCH
 //! (the comparison behind the paper's Section IV-A design argument).
 
-use super::{pct, EvalConfig};
+use super::{pct, run_slice, EvalConfig};
 use crate::metrics::{geomean_ratio, RunResult};
 use crate::report::{ExperimentReport, Table, ValueKind};
-use crate::system::{System, SystemConfig};
+use crate::system::SystemConfig;
 use catch_cpu::DetectorKind;
 use catch_criticality::HeuristicConfig;
-use catch_workloads::suite;
 
 const SLICE: [&str; 8] = [
     "xalanc_like",
@@ -20,29 +19,18 @@ const SLICE: [&str; 8] = [
     "mcf_like",
 ];
 
-fn run_slice(config: &SystemConfig, eval: &EvalConfig) -> Vec<RunResult> {
-    let system = System::new(config.clone());
-    SLICE
-        .iter()
-        .map(|n| {
-            let spec = suite::by_name(n).expect("slice workloads exist");
-            super::run_one(&system, eval, &spec)
-        })
-        .collect()
-}
-
 /// Compares CATCH driven by the paper's graph detector against CATCH
 /// driven by symptom heuristics: performance, flagged-PC volume and
 /// prefetch traffic.
 pub fn heuristic_detector(eval: &EvalConfig) -> ExperimentReport {
-    let base = run_slice(&SystemConfig::baseline_exclusive(), eval);
+    let base = run_slice(&SystemConfig::baseline_exclusive(), eval, &SLICE);
 
     let graph_cfg = SystemConfig::baseline_exclusive().with_catch();
     let mut heur_cfg = SystemConfig::baseline_exclusive().with_catch();
     heur_cfg.core.detector_kind = DetectorKind::Heuristic(HeuristicConfig::default());
 
-    let graph = run_slice(&graph_cfg, eval);
-    let heur = run_slice(&heur_cfg, eval);
+    let graph = run_slice(&graph_cfg, eval, &SLICE);
+    let heur = run_slice(&heur_cfg, eval, &SLICE);
 
     let sum = |runs: &[RunResult], f: fn(&RunResult) -> u64| -> f64 {
         runs.iter().map(f).sum::<u64>() as f64 / runs.len() as f64

@@ -52,6 +52,7 @@ use crate::metrics::RunResult;
 use crate::report::ExperimentReport;
 use crate::runcache::{Fingerprint, KeyPrefix, RunCache};
 use crate::system::{System, SystemConfig};
+use catch_obs::Obs;
 use catch_workloads::WorkloadSpec;
 
 /// Model-fidelity rung: which core model drives the (always real) memory
@@ -280,13 +281,11 @@ impl<'a> SuiteRuns<'a> {
         cache.run_result_keyed(fp, &system.config().name, spec.name, || {
             let trace = cache.trace(spec, eval.ops, eval.seed);
             match (eval.fidelity, eval.sample) {
-                (Fidelity::Fast, _) => system.run_st_fast(trace, eval.warmup),
-                (Fidelity::Lite, _) => system.run_st_lite(trace, eval.warmup),
                 (Fidelity::Ooo, Some(interval_ops)) => {
                     let cfg = catch_sample::SampleConfig::new(interval_ops);
                     system.run_sampled(trace, &cfg).result
                 }
-                (Fidelity::Ooo, None) => system.run_st_warm(trace, eval.warmup),
+                (fidelity, _) => system.run(trace, fidelity, eval.warmup, &Obs::off()),
             }
         })
     }
@@ -296,6 +295,24 @@ impl<'a> SuiteRuns<'a> {
 /// [`RunCache`]: [`SuiteRuns::run`] for a caller with a single request.
 pub(crate) fn run_one(system: &System, eval: &EvalConfig, spec: &WorkloadSpec) -> RunResult {
     SuiteRuns::new(system, eval).run(spec)
+}
+
+/// The suite workloads `names` on `config`, in order, each through
+/// [`run_one`]: the fixed behaviour-diverse slices that ablation-style
+/// experiments compare configurations on.
+pub(crate) fn run_slice(
+    config: &SystemConfig,
+    eval: &EvalConfig,
+    names: &[&str],
+) -> Vec<RunResult> {
+    let system = System::new(config.clone());
+    names
+        .iter()
+        .map(|n| {
+            let spec = catch_workloads::suite::by_name(n).expect("slice workloads exist");
+            run_one(&system, eval, &spec)
+        })
+        .collect()
 }
 
 /// The suite configurations experiment `id` will simulate over the full

@@ -1,29 +1,17 @@
 //! Sampled simulation: executing a [`SamplePlan`] against a [`System`].
 //!
 //! `catch-sample` decides *which* intervals to simulate; this module
-//! actually runs them. Two execution modes share the same plan and the
-//! same weighted reconstruction:
-//!
-//! * [`System::run_sampled`] — one core and one hierarchy walk the trace
-//!   front to back, alternating detailed intervals with
-//!   drain + fast-forward gaps. Representative intervals are measured by
-//!   *snapshot deltas*: all statistics are monotonic counters, so the
-//!   difference between the snapshots at an interval's retirement
-//!   boundaries is exactly that interval's contribution, and everything
-//!   that happens in the gaps (drained pipeline cycles, functional
-//!   warmup) stays out of the measurement. When the plan makes every
-//!   interval its own cluster, no gap ever occurs and the run is
-//!   tick-for-tick identical to [`System::run_st`] — the reconstruction
-//!   is then bit-exact, which `catch-tests/tests/sampling_accuracy.rs`
-//!   asserts.
-//! * [`System::run_sampled_parallel`] — each representative gets its own
-//!   fresh core + hierarchy, fast-forwards over the whole trace prefix,
-//!   then simulates its interval in detail; jobs fan out over the
-//!   experiment [`Runner`](crate::experiments::Runner) and compose with
-//!   `CATCH_JOBS`. Deterministic for a given plan regardless of worker
-//!   count (index-ordered reduction), but *not* bit-identical to the
-//!   serial mode: each representative starts from warmup-only state
-//!   rather than the tail state of the previous detailed interval.
+//! actually runs them. [`System::run_sampled`] walks the trace front to
+//! back on one core and one hierarchy, alternating detailed intervals
+//! with drain + fast-forward gaps. Representative intervals are measured
+//! by *snapshot deltas*: all statistics are monotonic counters, so the
+//! difference between the snapshots at an interval's retirement
+//! boundaries is exactly that interval's contribution, and everything
+//! that happens in the gaps (drained pipeline cycles, functional warmup)
+//! stays out of the measurement. When the plan makes every interval its
+//! own cluster, no gap ever occurs and the run is tick-for-tick identical
+//! to [`System::run_st`] — the reconstruction is then bit-exact, which
+//! `catch-tests/tests/sampling_accuracy.rs` asserts.
 //!
 //! Reconstruction multiplies each representative's delta by its cluster's
 //! member count and sums — all in integer arithmetic, so weights of 1
@@ -32,8 +20,9 @@
 use crate::metrics::RunResult;
 use crate::system::System;
 use catch_cache::{CacheHierarchy, HierarchyStats};
-use catch_cpu::{Core, CoreStats};
+use catch_cpu::{run_lockstep, Core, CoreStats};
 use catch_dram::{DramStats, DramSystem};
+use catch_obs::Obs;
 use catch_sample::{SampleConfig, SamplePlan};
 use catch_trace::Trace;
 
@@ -119,22 +108,6 @@ impl Snapshot {
     }
 }
 
-/// Ticks `core` until `retired` reaches `end` (or the trace completes),
-/// panicking on a blown cycle budget.
-fn run_detailed(core: &mut Core, hier: &mut CacheHierarchy, end: usize, budget: u64) {
-    while !core.done() && (core.retired() as usize) < end {
-        // Skip-ahead never retires during a jumped span, so the
-        // `retired < end` boundary is observed exactly as in the naive
-        // loop.
-        core.tick_or_skip(hier);
-        assert!(
-            core.cycle() < budget,
-            "sampled run exceeded cycle budget: likely deadlock at cycle {}",
-            core.cycle()
-        );
-    }
-}
-
 impl System {
     /// Runs `trace` in sampled mode: detailed simulation for one weighted
     /// representative interval per cluster, functional fast-forward
@@ -146,9 +119,8 @@ impl System {
         let workload = trace.name().to_string();
         let category = trace.category();
         let total_ops = trace.len() as u64;
-        let budget = 1000 * total_ops + 10_000_000;
 
-        let mut hier = self.build_hierarchy(1);
+        let mut hier = self.build_hierarchy(1, &Obs::off());
         let mut core = Core::new(0, trace, self.config().core.clone());
 
         let mut acc = Snapshot::default();
@@ -172,123 +144,42 @@ impl System {
                 };
                 core.fast_forward(&mut hier, ff_until);
                 if next_is_rep {
-                    run_detailed(&mut core, &mut hier, interval.end, budget);
+                    run_lockstep(std::slice::from_mut(&mut core), &mut hier, interval.end);
                 }
                 continue;
             }
             let start = Snapshot::take(&core, &hier);
-            run_detailed(&mut core, &mut hier, interval.end, budget);
+            run_lockstep(std::slice::from_mut(&mut core), &mut hier, interval.end);
             let delta = Snapshot::take(&core, &hier).minus(&start);
             rep_ipc[interval.cluster] = delta.core.ipc();
             detailed_ops += delta.core.instructions;
             acc.add_scaled(&delta, interval.weight);
         }
 
-        finish(
-            self,
-            workload,
-            category,
-            acc,
-            &plan,
-            rep_ipc,
-            detailed_ops,
-            total_ops,
-        )
-    }
-
-    /// Runs `trace` in sampled mode with one independent job per
-    /// representative interval, fanned out over `runner` (composes with
-    /// `CATCH_JOBS`). Each job builds a fresh core + hierarchy,
-    /// fast-forwards the entire prefix before its interval, and simulates
-    /// the interval in detail.
-    ///
-    /// Results are deterministic for a given plan and independent of the
-    /// worker count, but not bit-identical to [`System::run_sampled`]:
-    /// prefix state here comes from functional warmup alone.
-    pub fn run_sampled_parallel(
-        &self,
-        trace: &Trace,
-        sample: &SampleConfig,
-        runner: &crate::experiments::Runner,
-    ) -> SampledRun {
-        let plan = SamplePlan::build(trace, sample);
-        let workload = trace.name().to_string();
-        let category = trace.category();
-        let total_ops = trace.len() as u64;
-        let budget = 1000 * total_ops + 10_000_000;
-
-        let reps: Vec<catch_sample::Interval> = plan.representatives().cloned().collect();
-        let deltas: Vec<Snapshot> = runner.run(&reps, |_, interval| {
-            let mut hier = self.build_hierarchy(1);
-            let mut core = Core::new(0, trace.clone(), self.config().core.clone());
-            // Functional warmup over the prefix, then a detailed (but
-            // unmeasured) ramp into the interval — see run_sampled.
-            let ff_until = interval.start.saturating_sub(sample.warmup_ops);
-            if ff_until > 0 {
-                core.fast_forward(&mut hier, ff_until);
-            }
-            run_detailed(&mut core, &mut hier, interval.start, budget);
-            let start = Snapshot::take(&core, &hier);
-            run_detailed(&mut core, &mut hier, interval.end, budget);
-            Snapshot::take(&core, &hier).minus(&start)
-        });
-
-        let mut acc = Snapshot::default();
-        let mut rep_ipc = vec![0.0f64; plan.clusters];
-        let mut detailed_ops = 0u64;
-        for (interval, delta) in reps.iter().zip(&deltas) {
-            rep_ipc[interval.cluster] = delta.core.ipc();
-            detailed_ops += delta.core.instructions;
-            acc.add_scaled(delta, interval.weight);
+        SampledRun {
+            result: RunResult {
+                workload,
+                category,
+                config: self.config().name.clone(),
+                core: acc.core,
+                hierarchy: acc.hier,
+                dram: acc.dram,
+            },
+            sampling: SamplingSummary {
+                intervals: plan.interval_count(),
+                clusters: plan.clusters,
+                detailed_ops,
+                total_ops,
+                ipc_error_bound_pct: plan.ipc_error_bound_pct(&rep_ipc),
+            },
         }
-
-        finish(
-            self,
-            workload,
-            category,
-            acc,
-            &plan,
-            rep_ipc,
-            detailed_ops,
-            total_ops,
-        )
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn finish(
-    system: &System,
-    workload: String,
-    category: catch_trace::Category,
-    acc: Snapshot,
-    plan: &SamplePlan,
-    rep_ipc: Vec<f64>,
-    detailed_ops: u64,
-    total_ops: u64,
-) -> SampledRun {
-    SampledRun {
-        result: RunResult {
-            workload,
-            category,
-            config: system.config().name.clone(),
-            core: acc.core,
-            hierarchy: acc.hier,
-            dram: acc.dram,
-        },
-        sampling: SamplingSummary {
-            intervals: plan.interval_count(),
-            clusters: plan.clusters,
-            detailed_ops,
-            total_ops,
-            ipc_error_bound_pct: plan.ipc_error_bound_pct(&rep_ipc),
-        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::Runner;
+    use crate::experiments::{Runner, GOLDEN_WORKLOADS};
     use crate::system::SystemConfig;
     use catch_trace::counters::Counters;
     use catch_workloads::suite;
@@ -327,15 +218,16 @@ mod tests {
 
     #[test]
     fn parallel_mode_is_worker_count_invariant() {
-        let trace = suite::by_name("astar_like").unwrap().generate(8_000, 7);
+        // Sampled runs fanned out over the golden six, outside the run
+        // cache: the worker count must not change a single counter.
         let cfg = SampleConfig::new(1_000).with_max_clusters(3);
         let sys = system();
-        let serial = sys.run_sampled_parallel(&trace, &cfg, &Runner::with_jobs(1));
-        let parallel = sys.run_sampled_parallel(&trace, &cfg, &Runner::with_jobs(4));
-        assert_eq!(
-            serial.result.counters(""),
-            parallel.result.counters(""),
-            "per-representative jobs must reduce deterministically"
-        );
+        let run = |jobs: usize| -> Vec<_> {
+            Runner::with_jobs(jobs).run(&GOLDEN_WORKLOADS, |_, name| {
+                let trace = suite::by_name(name).unwrap().generate(8_000, 7);
+                sys.run_sampled(trace, &cfg).result.counters("")
+            })
+        };
+        assert_eq!(run(1), run(4), "sampled jobs must reduce deterministically");
     }
 }

@@ -1,8 +1,11 @@
 //! System assembly: configuration presets and the simulation driver.
 
+use crate::experiments::Fidelity;
 use crate::metrics::{MpResult, RunResult};
 use catch_cache::{CacheHierarchy, HierarchyConfig, Level};
-use catch_cpu::{run_fast_functional, Core, CoreConfig, LiteCore, LoadOracle, TactMode};
+use catch_cpu::{
+    run_fast_functional, run_lockstep, Core, CoreConfig, LiteCore, LoadOracle, TactMode,
+};
 use catch_criticality::DetectorConfig;
 use catch_dram::{DramConfig, DramSystem};
 use catch_obs::Obs;
@@ -147,11 +150,9 @@ impl System {
         &self.config
     }
 
-    pub(crate) fn build_hierarchy(&self, cores: usize) -> CacheHierarchy {
-        self.build_hierarchy_obs(cores, &Obs::off())
-    }
-
-    pub(crate) fn build_hierarchy_obs(&self, cores: usize, obs: &Obs) -> CacheHierarchy {
+    /// A fresh hierarchy (and DRAM) for `cores` cores, emitting through
+    /// clones of `obs`.
+    pub(crate) fn build_hierarchy(&self, cores: usize, obs: &Obs) -> CacheHierarchy {
         let mut hcfg = self.config.hierarchy.clone();
         hcfg.cores = cores;
         let mut dram = DramSystem::new(self.config.dram.clone());
@@ -164,140 +165,95 @@ impl System {
         hier
     }
 
-    /// Runs a single trace on core 0, returning the metrics.
-    pub fn run_st(&self, trace: Trace) -> RunResult {
-        self.run_st_warm(trace, 0)
-    }
-
-    /// [`System::run_st`] with an observability handle: every component
-    /// (core pipeline, caches, DRAM, TACT, criticality detector) emits
-    /// cycle-stamped events through clones of `obs`. Pass [`Obs::off`]
-    /// (or call `run_st`) for a silent run — the handles then cost one
-    /// predictable branch per would-be event.
-    pub fn run_st_obs(&self, trace: Trace, obs: &Obs) -> RunResult {
-        self.run_st_warm_obs(trace, 0, obs)
-    }
-
-    /// Runs a single trace, excluding the first `warmup_ops` retired
-    /// micro-ops from measurement (caches, predictors and learned tables
-    /// stay warm).
-    pub fn run_st_warm(&self, trace: Trace, warmup_ops: usize) -> RunResult {
-        self.run_st_warm_obs(trace, warmup_ops, &Obs::off())
-    }
-
-    /// [`System::run_st_warm`] with an observability handle (see
-    /// [`System::run_st_obs`]); warm-up cycles also emit events.
-    pub fn run_st_warm_obs(&self, trace: Trace, warmup_ops: usize, obs: &Obs) -> RunResult {
-        let mut hier = self.build_hierarchy_obs(1, obs);
-        let mut core = Core::new(0, trace, self.config.core.clone());
-        core.set_obs(obs.clone());
-        if warmup_ops > 0 {
-            let budget = 1000 * core.trace().len() as u64 + 10_000_000;
-            while !core.done() && (core.retired() as usize) < warmup_ops {
-                core.tick_or_skip(&mut hier);
-                assert!(core.cycle() < budget, "warm-up exceeded cycle budget");
-            }
-            core.end_warmup();
-            hier.reset_stats();
-        }
-        let stats = core.run_to_completion(&mut hier);
-        RunResult::collect(
-            core.trace().name().to_string(),
-            core.trace().category(),
-            self.config.name.clone(),
-            stats,
-            &hier,
-        )
-    }
-
-    /// Runs a single trace on the `fast` fidelity rung: the functional
-    /// fast-forward path end to end (one op per cycle, warm hierarchy
-    /// accesses, branch training, no pipeline timing). Counters are
-    /// bit-identical to the existing [`Core::fast_forward`] because they
-    /// *are* that path; IPC is 1 by construction. See DESIGN.md §14.
-    pub fn run_st_fast(&self, trace: Trace, warmup_ops: usize) -> RunResult {
-        let mut hier = self.build_hierarchy(1);
-        let name = trace.name().to_string();
+    /// Runs a single trace on core 0 at model rung `fidelity`, excluding
+    /// the first `warmup_ops` retired micro-ops from measurement (caches,
+    /// predictors and learned tables stay warm). The rungs (DESIGN.md
+    /// §14):
+    ///
+    /// * [`Fidelity::Ooo`]: a detailed warm-up on the out-of-order
+    ///   [`Core`], then the measured run on the same core.
+    /// * [`Fidelity::Lite`]: a functional fast-forward warm-up (the
+    ///   warm-up being approximate is part of the rung's semantics), then
+    ///   the in-order-issue scoreboard core ([`LiteCore`]) driving the
+    ///   real hierarchy, criticality detector and TACT.
+    /// * [`Fidelity::Fast`]: the functional fast-forward path end to end
+    ///   ([`run_fast_functional`]: one op per cycle, warm hierarchy
+    ///   accesses, branch training, no pipeline timing; IPC is 1 by
+    ///   construction).
+    ///
+    /// Every component the rung builds (core pipeline, caches, DRAM,
+    /// TACT, criticality detector) emits cycle-stamped events through
+    /// clones of `obs`, warm-up included; the functional path emits only
+    /// from the hierarchy and DRAM. Pass [`Obs::off`] for a silent run:
+    /// the handles then cost one predictable branch per would-be event,
+    /// and no rung's counters depend on whether a sink is attached.
+    pub fn run(&self, trace: Trace, fidelity: Fidelity, warmup_ops: usize, obs: &Obs) -> RunResult {
+        let mut hier = self.build_hierarchy(1, obs);
+        let workload = trace.name().to_string();
         let category = trace.category();
-        let stats = run_fast_functional(0, trace, self.config.core.clone(), &mut hier, warmup_ops);
-        RunResult::collect(name, category, self.config.name.clone(), stats, &hier)
+        let config = self.config.core.clone();
+        let stats = match fidelity {
+            Fidelity::Ooo => {
+                let mut core = Core::new(0, trace, config);
+                core.set_obs(obs.clone());
+                if warmup_ops > 0 {
+                    run_lockstep(std::slice::from_mut(&mut core), &mut hier, warmup_ops);
+                    core.end_warmup();
+                    hier.reset_stats();
+                }
+                core.run_to_completion(&mut hier)
+            }
+            Fidelity::Lite => {
+                let mut core = LiteCore::new(0, trace, config);
+                core.set_obs(obs.clone());
+                if warmup_ops > 0 {
+                    core.fast_forward(&mut hier, warmup_ops);
+                    core.end_warmup();
+                    hier.reset_stats();
+                }
+                core.run_to_completion(&mut hier)
+            }
+            Fidelity::Fast => run_fast_functional(0, trace, config, &mut hier, warmup_ops),
+        };
+        RunResult::collect(workload, category, self.config.name.clone(), stats, &hier)
     }
 
-    /// Runs a single trace on the `timing-lite` fidelity rung: a
-    /// functional fast-forward warm-up (the warm-up being approximate is
-    /// part of the rung's semantics) followed by the in-order-issue
-    /// scoreboard core ([`LiteCore`]) driving the real hierarchy,
-    /// criticality detector and TACT. See DESIGN.md §14 for the error
-    /// model; the `ladder` experiment measures it per workload.
+    /// [`System::run`] on the OOO core, silent, without warm-up.
+    pub fn run_st(&self, trace: Trace) -> RunResult {
+        self.run(trace, Fidelity::Ooo, 0, &Obs::off())
+    }
+
+    /// [`System::run`] on the OOO core, observed, without warm-up.
+    pub fn run_st_obs(&self, trace: Trace, obs: &Obs) -> RunResult {
+        self.run(trace, Fidelity::Ooo, 0, obs)
+    }
+
+    /// [`System::run`] on the OOO core, silent.
+    pub fn run_st_warm(&self, trace: Trace, warmup_ops: usize) -> RunResult {
+        self.run(trace, Fidelity::Ooo, warmup_ops, &Obs::off())
+    }
+
+    /// [`System::run`] on the `fast` rung, silent.
+    pub fn run_st_fast(&self, trace: Trace, warmup_ops: usize) -> RunResult {
+        self.run(trace, Fidelity::Fast, warmup_ops, &Obs::off())
+    }
+
+    /// [`System::run`] on the `timing-lite` rung, silent.
     pub fn run_st_lite(&self, trace: Trace, warmup_ops: usize) -> RunResult {
-        let mut hier = self.build_hierarchy(1);
-        let mut core = LiteCore::new(0, trace, self.config.core.clone());
-        if warmup_ops > 0 {
-            core.fast_forward(&mut hier, warmup_ops);
-            core.end_warmup();
-            hier.reset_stats();
-        }
-        let stats = core.run_to_completion(&mut hier);
-        RunResult::collect(
-            core.trace().name().to_string(),
-            core.trace().category(),
-            self.config.name.clone(),
-            stats,
-            &hier,
-        )
+        self.run(trace, Fidelity::Lite, warmup_ops, &Obs::off())
     }
 
-    /// Runs four traces on a shared 4-core system. Cores that finish
-    /// early idle (their caches stay resident). Returns per-core results.
+    /// Runs four traces on a shared 4-core system in [`run_lockstep`],
+    /// unobserved. Cores that finish early idle (their caches stay
+    /// resident). Returns per-core results.
     pub fn run_mp(&self, traces: [Trace; 4]) -> MpResult {
-        self.run_mp_obs(traces, &Obs::off())
-    }
-
-    /// [`System::run_mp`] with an observability handle (see
-    /// [`System::run_st_obs`]); events carry the id of the emitting core.
-    pub fn run_mp_obs(&self, traces: [Trace; 4], obs: &Obs) -> MpResult {
-        let mut hier = self.build_hierarchy_obs(4, obs);
+        let mut hier = self.build_hierarchy(4, &Obs::off());
         let mut cores: Vec<Core> = traces
             .into_iter()
             .enumerate()
-            .map(|(i, t)| {
-                let mut core = Core::new(i, t, self.config.core.clone());
-                core.set_obs(obs.clone());
-                core
-            })
+            .map(|(i, t)| Core::new(i, t, self.config.core.clone()))
             .collect();
-        let total_ops: usize = cores.iter().map(|c| c.trace().len()).sum();
-        let budget = 1000 * total_ops as u64 + 10_000_000;
-        let mut rounds = 0u64;
-        let skip_ahead = self.config.core.skip_ahead;
-        while cores.iter().any(|c| !c.done()) {
-            let mut all_idle = true;
-            for core in cores.iter_mut() {
-                if !core.done() {
-                    all_idle &= !core.tick_progress(&mut hier);
-                }
-            }
-            // Lockstep skip-ahead: only when every live core had an
-            // idle cycle may the shared clock jump, and only to the
-            // earliest event across cores — any nearer event on one
-            // core could feed the others through the shared LLC/DRAM.
-            if all_idle && skip_ahead {
-                let target = cores
-                    .iter_mut()
-                    .filter(|c| !c.done())
-                    .filter_map(|c| c.next_wake_cycle())
-                    .min();
-                if let Some(target) = target {
-                    for core in cores.iter_mut() {
-                        if !core.done() && target > core.cycle() {
-                            core.advance_to(&mut hier, target, true);
-                        }
-                    }
-                }
-            }
-            rounds += 1;
-            assert!(rounds < budget, "MP run exceeded cycle budget");
-        }
+        run_lockstep(&mut cores, &mut hier, usize::MAX);
         let per_core: Vec<RunResult> = cores
             .iter()
             .map(|c| {
@@ -362,38 +318,47 @@ mod tests {
     #[test]
     fn obs_run_matches_silent_run_and_covers_all_classes() {
         use catch_obs::{EventClass, VecSink};
+        use catch_trace::counters::Counters;
         use std::sync::{Arc, Mutex};
 
         let trace = suite::by_name("tpcc_like").unwrap().generate(8_000, 1);
         let system = System::new(SystemConfig::baseline_exclusive().with_catch());
-        let silent = system.run_st(trace.clone());
+        for fidelity in Fidelity::ALL {
+            let silent = system.run(trace.clone(), fidelity, 2_000, &Obs::off());
+            let sink = Arc::new(Mutex::new(VecSink::new()));
+            let obs = Obs::attached(sink.clone(), EventClass::ALL);
+            let observed = system.run(trace.clone(), fidelity, 2_000, &obs);
+            drop(obs);
 
-        let sink = Arc::new(Mutex::new(VecSink::new()));
-        let obs = Obs::attached(sink.clone(), EventClass::ALL);
-        let observed = system.run_st_obs(trace, &obs);
-        drop(obs);
-
-        // Observation must not perturb the simulation.
-        assert_eq!(silent.ipc(), observed.ipc());
-        assert_eq!(silent.core, observed.core);
-
-        let events = sink.lock().expect("sink lock").take();
-        assert!(!events.is_empty());
-        for class in [
-            EventClass::CORE,
-            EventClass::OCCUPANCY,
-            EventClass::CACHE,
-            EventClass::DRAM,
-            EventClass::CRIT,
-        ] {
-            assert!(
-                events.iter().any(|e| e.class() == class),
-                "no events of class {:?}",
-                class
+            // Observation must not perturb the simulation on any rung.
+            assert_eq!(
+                silent.counters(""),
+                observed.counters(""),
+                "observing the {fidelity:?} rung changed its counters"
             );
+
+            // Every rung reaches the hierarchy; the OOO core emits every
+            // class.
+            let events = sink.lock().expect("sink lock").take();
+            let classes: &[EventClass] = match fidelity {
+                Fidelity::Ooo => &[
+                    EventClass::CORE,
+                    EventClass::OCCUPANCY,
+                    EventClass::CACHE,
+                    EventClass::DRAM,
+                    EventClass::CRIT,
+                ],
+                Fidelity::Lite | Fidelity::Fast => &[EventClass::CACHE],
+            };
+            for &class in classes {
+                assert!(
+                    events.iter().any(|e| e.class() == class),
+                    "no events of class {class:?} on the {fidelity:?} rung"
+                );
+            }
+            // Cycle stamps are present and plausible.
+            assert!(events.iter().any(|e| e.cycle > 0));
         }
-        // Cycle stamps are present and plausible.
-        assert!(events.iter().any(|e| e.cycle > 0));
     }
 
     #[test]

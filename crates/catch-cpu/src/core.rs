@@ -24,9 +24,9 @@ pub(crate) const MAINT_PERIOD: u64 = 65_536;
 
 /// One out-of-order core bound to a trace.
 ///
-/// Call [`Core::tick`] once per cycle against the shared hierarchy (the
-/// multi-core driver interleaves cores), or [`Core::run_to_completion`]
-/// for a single-core run.
+/// [`run_lockstep`] drives one or more cores against a shared hierarchy
+/// (the multi-core driver interleaves cores); [`Core::run_to_completion`]
+/// is its single-core form.
 #[derive(Debug)]
 pub struct Core {
     id: usize,
@@ -172,18 +172,13 @@ impl Core {
         self.warmup_snapshot = Some(self.raw_stats());
     }
 
-    /// Advances one cycle: retire → issue → allocate → fetch.
-    pub fn tick(&mut self, hier: &mut CacheHierarchy) {
-        let _ = self.tick_progress(hier);
-    }
-
-    /// One cycle, reporting whether any pipeline stage made progress
-    /// (retired, issued, allocated or fetched a µop, or took an I-cache
-    /// miss). A no-progress cycle changes nothing but the clock and the
-    /// bulk-reproducible per-cycle statistics, which is what makes
-    /// [`Core::tick_or_skip`] safe: the skipped span is guaranteed to
-    /// replay as idle ticks.
-    pub fn tick_progress(&mut self, hier: &mut CacheHierarchy) -> bool {
+    /// One cycle (retire → issue → allocate → fetch), reporting whether
+    /// any pipeline stage made progress (retired, issued, allocated or
+    /// fetched a µop, or took an I-cache miss). A no-progress cycle
+    /// changes nothing but the clock and the bulk-reproducible per-cycle
+    /// statistics, which is what makes [`run_lockstep`]'s skip safe: the
+    /// skipped span is guaranteed to replay as idle ticks.
+    fn tick_progress(&mut self, hier: &mut CacheHierarchy) -> bool {
         let cycle = self.cycle;
         if cycle.is_multiple_of(OCC_SAMPLE_PERIOD) {
             self.sample_occupancy(cycle);
@@ -213,27 +208,9 @@ impl Core {
     /// pipeline stage can make progress. The queue may hold front-end
     /// reservations a fetchless drain loop does not need; probing those
     /// cycles is harmless (drain ticks neither sample nor account).
-    /// Public for the multi-programmed lockstep driver, which may only
-    /// jump when every live core is idle and must use the minimum
-    /// across cores. `None` only for a finished (or deadlocked) core.
-    pub fn next_wake_cycle(&mut self) -> Option<u64> {
+    /// `None` only for a finished (or deadlocked) core.
+    fn next_wake_cycle(&mut self) -> Option<u64> {
         self.timeq.peek_next(self.cycle)
-    }
-
-    /// One scheduling quantum with stall skip-ahead: a normal tick,
-    /// plus — when that tick made no progress and the configuration
-    /// enables skipping — a jump straight to the next cycle at which
-    /// anything architectural can happen. Statistics and event streams
-    /// are bit-identical to per-cycle ticking.
-    pub fn tick_or_skip(&mut self, hier: &mut CacheHierarchy) {
-        let progress = self.tick_progress(hier);
-        if !progress && self.config.skip_ahead {
-            if let Some(target) = self.next_wake_cycle() {
-                if target > self.cycle {
-                    self.advance_to(hier, target, true);
-                }
-            }
-        }
     }
 
     /// Records the periodic occupancy samples (always-on histograms) and
@@ -308,9 +285,8 @@ impl Core {
     /// fetch-cycle accounting, and periodic maintenance at every
     /// crossed boundary, in live-tick order. `with_fetch_stalls`
     /// mirrors whether the skipped loop would have run its fetch stage
-    /// (false under [`Core::drain`], which also never samples). Public
-    /// for the multi-programmed driver.
-    pub fn advance_to(&mut self, hier: &mut CacheHierarchy, target: u64, with_fetch_stalls: bool) {
+    /// (false under [`Core::drain`], which also never samples).
+    fn advance_to(&mut self, hier: &mut CacheHierarchy, target: u64, with_fetch_stalls: bool) {
         let start = self.cycle;
         debug_assert!(target > start, "advance_to must move forward");
         if with_fetch_stalls {
@@ -442,23 +418,14 @@ impl Core {
         self.timeq.clear();
     }
 
-    /// Runs the core to completion against `hier`, returning final stats.
+    /// Runs the core to completion against `hier`, returning final stats:
+    /// [`run_lockstep`] with this core alone.
     ///
     /// # Panics
     ///
-    /// Panics if the core deadlocks (a cycle budget of `1000 × ops +
-    /// 10_000_000` is exceeded), which would indicate a simulator bug.
+    /// Panics if the core deadlocks (see [`run_lockstep`]).
     pub fn run_to_completion(&mut self, hier: &mut CacheHierarchy) -> CoreStats {
-        let budget = 1000 * self.trace.len() as u64 + 10_000_000;
-        while !self.done() {
-            self.tick_or_skip(hier);
-            assert!(
-                self.cycle < budget,
-                "core {} exceeded cycle budget: likely deadlock at cycle {}",
-                self.id,
-                self.cycle
-            );
-        }
+        run_lockstep(std::slice::from_mut(self), hier, usize::MAX);
         self.stats()
     }
 
@@ -699,6 +666,68 @@ impl Core {
     }
 }
 
+/// Drives `cores` in lock step against the shared `hier` until each has
+/// finished its trace or retired at least `until_op` µops; a core that
+/// reaches either stops ticking and idles with its caches resident. Every
+/// detailed OOO cycle in the simulator runs here: a whole single-core run
+/// ([`Core::run_to_completion`]), a warm-up or sampled interval (a
+/// finite `until_op`: the call returns after the tick that retires past
+/// it, so `until_op ≤ retired < until_op + retire_width`), and the
+/// multi-programmed run. A jumped span retires nothing, so that boundary
+/// falls on the same tick with the skip on or off.
+///
+/// Stall skip-ahead (when every core's `skip_ahead` is on): only when
+/// every live core had an idle cycle may the shared clock jump, and only
+/// to the earliest wake across them, since a nearer event on one core
+/// could feed the others through the shared LLC and DRAM. With one core
+/// that is the plain single-core skip. Statistics and event streams are
+/// bit-identical to per-cycle ticking.
+///
+/// # Panics
+///
+/// Panics if a core's clock reaches `1000 × total ops + 10_000_000`
+/// cycles (total ops over all cores' traces), which would indicate a
+/// simulator deadlock.
+pub fn run_lockstep(cores: &mut [Core], hier: &mut CacheHierarchy, until_op: usize) {
+    let total_ops: usize = cores.iter().map(|c| c.trace.len()).sum();
+    let budget = 1000 * total_ops as u64 + 10_000_000;
+    let skip_ahead = cores.iter().all(|c| c.config.skip_ahead);
+    let live = |c: &Core| !c.done() && (c.retired as usize) < until_op;
+    loop {
+        let mut ticked = false;
+        let mut all_idle = true;
+        for core in cores.iter_mut().filter(|c| live(c)) {
+            ticked = true;
+            all_idle &= !core.tick_progress(hier);
+            assert!(
+                core.cycle < budget,
+                "core {} exceeded cycle budget: likely deadlock at cycle {}",
+                core.id,
+                core.cycle
+            );
+        }
+        if !ticked {
+            return;
+        }
+        if all_idle && skip_ahead {
+            // An idle tick changes no core's liveness, so the live set
+            // here is the one that just ticked, all at the same cycle.
+            let target = cores
+                .iter_mut()
+                .filter(|c| live(c))
+                .filter_map(|c| c.next_wake_cycle())
+                .min();
+            if let Some(target) = target {
+                for core in cores.iter_mut().filter(|c| live(c)) {
+                    if target > core.cycle {
+                        core.advance_to(hier, target, true);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -888,7 +917,7 @@ mod tests {
         let mut h = hier();
         let mut core = Core::new(0, b.build(), config);
         for _ in 0..20 {
-            core.tick(&mut h);
+            core.tick_progress(&mut h);
         }
         let fetched_before = core.frontend.cursor();
         core.drain(&mut h);

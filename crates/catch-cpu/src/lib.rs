@@ -54,7 +54,7 @@ mod stats;
 
 pub use branch::BranchUnit;
 pub use config::{CoreConfig, DetectorKind, ExecLatencies, LoadOracle, PortConfig, TactMode};
-pub use core::Core;
+pub use core::{run_lockstep, Core};
 pub use frontend::Frontend;
 pub use lite::{run_fast_functional, LiteCore};
 pub use memory::MemoryInterface;

@@ -222,10 +222,10 @@ impl LiteCore {
     }
 
     /// One cycle, reporting whether issue or fetch made progress. The
-    /// same contract as [`Core::tick_progress`]: a no-progress cycle
-    /// changes nothing but the clock and the bulk-reproducible per-cycle
+    /// same contract as the OOO core's: a no-progress cycle changes
+    /// nothing but the clock and the bulk-reproducible per-cycle
     /// statistics, so skipped idle spans replay exactly.
-    pub fn tick_progress(&mut self, hier: &mut CacheHierarchy) -> bool {
+    fn tick_progress(&mut self, hier: &mut CacheHierarchy) -> bool {
         let cycle = self.cycle;
         if cycle.is_multiple_of(OCC_SAMPLE_PERIOD) {
             self.sample_occupancy(cycle);
@@ -239,9 +239,10 @@ impl LiteCore {
         progress
     }
 
-    /// One scheduling quantum with stall skip-ahead (see
-    /// [`Core::tick_or_skip`]).
-    pub fn tick_or_skip(&mut self, hier: &mut CacheHierarchy) {
+    /// One scheduling quantum with stall skip-ahead: a tick, plus a jump
+    /// to the next wake when it made no progress (the single-core case
+    /// of [`run_lockstep`](crate::run_lockstep)'s rule).
+    fn tick_or_skip(&mut self, hier: &mut CacheHierarchy) {
         let progress = self.tick_progress(hier);
         if !progress && self.config.skip_ahead {
             if let Some(target) = self.next_wake_cycle() {
@@ -252,18 +253,16 @@ impl LiteCore {
         }
     }
 
-    /// The skip target: the earliest pending wake reservation (see
-    /// [`Core::next_wake_cycle`]).
-    pub fn next_wake_cycle(&mut self) -> Option<u64> {
+    /// The skip target: the earliest pending wake reservation.
+    fn next_wake_cycle(&mut self) -> Option<u64> {
         self.timeq.peek_next(self.cycle)
     }
 
     /// Jumps the clock to `target`, replaying the per-cycle side effects
     /// of the skipped idle span (occupancy samples, stalled fetch
     /// accounting, maintenance boundaries) exactly as the naive loop
-    /// would have produced them — the same contract as
-    /// [`Core::advance_to`].
-    pub fn advance_to(&mut self, hier: &mut CacheHierarchy, target: u64) {
+    /// would have produced them — the same contract as the OOO core's.
+    fn advance_to(&mut self, hier: &mut CacheHierarchy, target: u64) {
         let start = self.cycle;
         debug_assert!(target > start, "advance_to must move forward");
         if !self.frontend.blocked()

@@ -5,7 +5,7 @@
 //! reproduces it.
 
 use catch_cache::{CacheHierarchy, FixedLatencyBackend, HierarchyConfig, Level};
-use catch_cpu::{Core, CoreConfig};
+use catch_cpu::{run_lockstep, Core, CoreConfig};
 use catch_trace::rng::{Cases, SplitMix64};
 use catch_trace::{Addr, ArchReg, TraceBuilder};
 
@@ -193,4 +193,37 @@ fn dependent_loads_serialise() {
         "chase overlapped impossibly: {} cycles",
         stats.cycles
     );
+}
+
+/// A run split at op `k` (the boundary a warm-up or a sampled interval
+/// ends on) is the same run: stopping `run_lockstep` after the tick that
+/// retires past `k` and resuming with `run_to_completion` matches one
+/// uninterrupted run in every statistic, with the skip on and off.
+#[test]
+fn split_run_equals_unsplit_run() {
+    Cases::new(48).run(|rng| {
+        let ops = gen_ops(rng, 20, 300);
+        let trace = build(&ops);
+        let k = rng.gen_range(1..trace.len());
+        let mut config = if rng.gen_bool(0.5) {
+            CoreConfig::catch()
+        } else {
+            CoreConfig::baseline()
+        };
+        for skip_ahead in [false, true] {
+            config.skip_ahead = skip_ahead;
+            let whole = Core::new(0, trace.clone(), config.clone()).run_to_completion(&mut hier());
+
+            let mut h = hier();
+            let mut core = Core::new(0, trace.clone(), config.clone());
+            run_lockstep(std::slice::from_mut(&mut core), &mut h, k);
+            let retired = core.retired() as usize;
+            assert!(
+                (k..k + config.retire_width).contains(&retired),
+                "stopped at {retired} for split point {k}"
+            );
+            let split = core.run_to_completion(&mut h);
+            assert_eq!(split, whole, "split at {k} (skip_ahead {skip_ahead})");
+        }
+    });
 }

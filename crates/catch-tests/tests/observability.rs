@@ -21,6 +21,7 @@
 //!    `run_experiment` example uses).
 
 use catch_core::experiments::runner::Runner;
+use catch_core::experiments::Fidelity;
 use catch_core::report::json::run_results_to_json;
 use catch_core::{
     merge_parts, part_path, ChromeTraceSink, EventClass, NullSink, Obs, System, SystemConfig,
@@ -163,7 +164,7 @@ fn observed_run_stats_are_byte_identical_to_silent_run() {
     let system = catch_system();
     let silent = system.run_st_warm(spec.generate(OPS, SEED), 1_000);
     let obs = Obs::attached(Arc::new(Mutex::new(NullSink)), EventClass::ALL);
-    let observed = system.run_st_warm_obs(spec.generate(OPS, SEED), 1_000, &obs);
+    let observed = system.run(spec.generate(OPS, SEED), Fidelity::Ooo, 1_000, &obs);
     assert_eq!(
         run_results_to_json(std::slice::from_ref(&silent)),
         run_results_to_json(std::slice::from_ref(&observed)),

@@ -48,15 +48,16 @@
 //! `--trace-events PATH` switches to trace mode: instead of an experiment
 //! id the positional argument names a workload (default `tpcc_like`, or
 //! `all` for every golden workload) which is simulated under the CATCH
-//! configuration with the full observability layer attached, writing a
+//! configuration, on the `--fidelity` rung, with the full observability
+//! layer attached, writing a
 //! cycle-stamped event trace to PATH — Chrome `about://tracing` JSON by
 //! default, JSONL when PATH ends in `.jsonl`. With `all`, workloads run
 //! in parallel on the suite runner; each job writes a part file and the
 //! parts are merged in job-index order, so the trace is byte-identical
 //! for every `--jobs` value.
 //!
-//! `--profile` runs one workload (default `tpcc_like`) with a counting
-//! sink and prints the event taxonomy histogram plus the core's sampled
+//! `--profile` runs one workload (default `tpcc_like`, on the
+//! `--fidelity` rung) with a counting sink and prints the event taxonomy histogram plus the core's sampled
 //! ROB / scheduler / MSHR occupancies.
 //!
 //! The special id `sample-smoke` is the CI accuracy gate: it runs one
@@ -605,7 +606,8 @@ fn obs_smoke(eval: &EvalConfig) -> ! {
 }
 
 /// Trace mode: simulate `workload` (or every golden workload) under the
-/// CATCH configuration with all event classes enabled, exporting to
+/// CATCH configuration on the `eval.fidelity` rung with all event
+/// classes enabled, exporting to
 /// `path` in the format chosen by its extension.
 fn traced_run(path: &Path, workload: &str, eval: &EvalConfig) -> ! {
     let format = TraceFormat::from_path(path);
@@ -640,7 +642,7 @@ fn traced_run(path: &Path, workload: &str, eval: &EvalConfig) -> ! {
                     EventClass::ALL,
                 ),
             };
-            let result = system.run_st_warm_obs(trace, eval.warmup, &obs);
+            let result = system.run(trace, eval.fidelity, eval.warmup, &obs);
             obs.finish().expect("flush trace part file");
             result.ipc()
         });
@@ -667,7 +669,7 @@ fn traced_run(path: &Path, workload: &str, eval: &EvalConfig) -> ! {
                     ChromeTraceSink::create(path).expect("create trace file"),
                 ));
                 let obs = Obs::attached(sink.clone(), EventClass::ALL);
-                let result = system.run_st_warm_obs(trace, eval.warmup, &obs);
+                let result = system.run(trace, eval.fidelity, eval.warmup, &obs);
                 obs.finish().expect("flush trace file");
                 let events = sink.lock().expect("sink lock").events();
                 (result, events)
@@ -677,7 +679,7 @@ fn traced_run(path: &Path, workload: &str, eval: &EvalConfig) -> ! {
                     JsonlSink::create(path).expect("create trace file"),
                 ));
                 let obs = Obs::attached(sink.clone(), EventClass::ALL);
-                let result = system.run_st_warm_obs(trace, eval.warmup, &obs);
+                let result = system.run(trace, eval.fidelity, eval.warmup, &obs);
                 obs.finish().expect("flush trace file");
                 let events = sink.lock().expect("sink lock").events();
                 (result, events)
@@ -858,8 +860,9 @@ fn occ_line(name: &str, h: &OccupancyHist) -> String {
     )
 }
 
-/// Profile mode: one workload with a counting sink — prints the event
-/// taxonomy histogram and the core's sampled occupancy summaries.
+/// Profile mode: one workload on the `eval.fidelity` rung with a
+/// counting sink — prints the event taxonomy histogram and the core's
+/// sampled occupancy summaries.
 fn profile_run(workload: &str, eval: &EvalConfig) -> ! {
     let trace = match suite::by_name(workload) {
         Ok(spec) => spec.generate(eval.ops, eval.seed),
@@ -871,7 +874,7 @@ fn profile_run(workload: &str, eval: &EvalConfig) -> ! {
     let system = System::new(SystemConfig::baseline_exclusive().with_catch());
     let sink = Arc::new(Mutex::new(CountingSink::new()));
     let obs = Obs::attached(sink.clone(), EventClass::ALL);
-    let result = system.run_st_warm_obs(trace, eval.warmup, &obs);
+    let result = system.run(trace, eval.fidelity, eval.warmup, &obs);
     drop(obs);
     let sink = sink.lock().expect("sink lock");
     println!(

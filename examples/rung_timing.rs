@@ -7,8 +7,9 @@
 //! cargo run --release --example rung_timing [OPS [WARMUP]]
 //! ```
 
-use catch_core::experiments::GOLDEN_WORKLOADS;
+use catch_core::experiments::{Fidelity, GOLDEN_WORKLOADS};
 use catch_core::{System, SystemConfig};
+use catch_obs::Obs;
 use catch_workloads::suite;
 use std::time::Instant;
 
@@ -35,16 +36,11 @@ fn main() {
         println!("{label}:");
         let system = System::new(config);
         let mut per_rung = Vec::new();
-        for rung in ["fast", "lite", "ooo"] {
+        for rung in Fidelity::ALL {
             // One untimed warm-up pass, then two timed passes over all six.
             let run_all = |sys: &System| {
                 for trace in &traces {
-                    let r = match rung {
-                        "fast" => sys.run_st_fast(trace.clone(), warmup),
-                        "lite" => sys.run_st_lite(trace.clone(), warmup),
-                        _ => sys.run_st_warm(trace.clone(), warmup),
-                    };
-                    std::hint::black_box(r);
+                    std::hint::black_box(sys.run(trace.clone(), rung, warmup, &Obs::off()));
                 }
             };
             run_all(&system);
@@ -52,8 +48,9 @@ fn main() {
             run_all(&system);
             run_all(&system);
             let ms = t.elapsed().as_secs_f64() * 1000.0 / (2.0 * traces.len() as f64);
-            per_rung.push((rung, ms));
-            println!("  {rung:<5} {ms:8.2} ms/run");
+            let name = rung.label();
+            per_rung.push((name, ms));
+            println!("  {name:<5} {ms:8.2} ms/run");
         }
         let ooo = per_rung.last().expect("three rungs").1;
         for (rung, ms) in &per_rung[..2] {
