@@ -9,7 +9,7 @@
 //!
 //! ```sh
 //! CATCH_BLESS=1 cargo test -p catch-tests --test golden_stats
-//! git diff crates/catch-tests/tests/golden/suite_slice.json
+//! git diff crates/catch-tests/tests/golden/
 //! ```
 
 use catch_core::report::json::run_results_to_json;
@@ -43,6 +43,13 @@ const GOLDEN: &str = include_str!("golden/suite_slice.json");
 const MP_OPS: usize = 6_000;
 const MP_GOLDEN_PATH: &str = "tests/golden/mp_rate4.json";
 const MP_GOLDEN: &str = include_str!("golden/mp_rate4.json");
+
+/// Cheap-rung snapshot: the lite and fast rungs over [`SLICE`] at the
+/// same scale under exclusive+CATCH, so the scoreboard core's timing and
+/// the functional path's warm accesses are pinned counter for counter
+/// (the parity tests only compare a rung with itself).
+const RUNGS_GOLDEN_PATH: &str = "tests/golden/rungs_slice.json";
+const RUNGS_GOLDEN: &str = include_str!("golden/rungs_slice.json");
 
 fn slice_runs() -> Vec<RunResult> {
     let system = System::new(SystemConfig::baseline_exclusive());
@@ -104,6 +111,24 @@ fn mp_rate4_matches_golden_snapshot() {
     let mp = system.run_mp(mix.generate(MP_OPS, SEED));
     let actual = run_results_to_json(&mp.per_core);
     check_golden(&actual, MP_GOLDEN, MP_GOLDEN_PATH);
+}
+
+#[test]
+fn cheap_rungs_match_snapshot() {
+    let system = System::new(SystemConfig::baseline_exclusive().with_catch());
+    let trace = |n: &str| {
+        suite::by_name(n)
+            .expect("known workload")
+            .generate(OPS, SEED)
+    };
+    // Lite runs first, then fast, each in slice order.
+    let runs: Vec<RunResult> = SLICE
+        .iter()
+        .map(|n| system.run_st_lite(trace(n), WARMUP))
+        .chain(SLICE.iter().map(|n| system.run_st_fast(trace(n), WARMUP)))
+        .collect();
+    let actual = run_results_to_json(&runs);
+    check_golden(&actual, RUNGS_GOLDEN, RUNGS_GOLDEN_PATH);
 }
 
 #[test]
