@@ -17,7 +17,7 @@
 use catch_core::experiments::GOLDEN_WORKLOADS;
 use catch_core::report::{Table, ValueKind};
 use catch_core::{SampleConfig, System, SystemConfig};
-use catch_harness::Harness;
+use catch_harness::{env_var, Harness};
 use catch_workloads::suite;
 
 fn pct_err(sampled: f64, full: f64) -> f64 {
@@ -34,7 +34,7 @@ fn pct_err(sampled: f64, full: f64) -> f64 {
 
 fn main() {
     let eval = catch_bench::eval_from_env();
-    let env_usize = |name: &str| std::env::var(name).ok().and_then(|v| v.parse().ok());
+    let env_usize = |name: &str| env_var(name, str::parse::<usize>);
     let interval_ops = env_usize("CATCH_SAMPLE").unwrap_or_else(|| (eval.ops / 20).max(1));
     let mut sample = SampleConfig::new(interval_ops);
     if let Some(k) = env_usize("CATCH_SAMPLE_CLUSTERS") {

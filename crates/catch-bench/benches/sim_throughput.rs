@@ -35,7 +35,7 @@
 use catch_bench::{eval_from_env, pin_ooo};
 use catch_core::experiments::GOLDEN_WORKLOADS;
 use catch_core::{System, SystemConfig};
-use catch_harness::Harness;
+use catch_harness::{env_var, Harness};
 use catch_workloads::suite;
 use std::path::{Path, PathBuf};
 
@@ -228,10 +228,7 @@ fn main() {
             "sim_throughput: {cycle_loop} speedup vs pre-PR baseline {pre:.3} Mcycles/s: \
              {speedup:.2}x"
         );
-        if let Some(min) = std::env::var("CATCH_BENCH_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse::<f64>().ok())
-        {
+        if let Some(min) = env_var("CATCH_BENCH_MIN_SPEEDUP", str::parse::<f64>) {
             if speedup < min {
                 eprintln!(
                     "sim_throughput FAILED: speedup {speedup:.2}x under the {min}x floor \
@@ -243,10 +240,7 @@ fn main() {
         }
     }
     if std::env::var_os("CATCH_BENCH_CHECK").is_some() {
-        let gate_pct = std::env::var("CATCH_BENCH_GATE_PCT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_GATE_PCT);
+        let gate_pct = env_var("CATCH_BENCH_GATE_PCT", str::parse).unwrap_or(DEFAULT_GATE_PCT);
         if delta_pct < -gate_pct {
             eprintln!(
                 "sim_throughput FAILED: {:.1}% below the checked-in reference \

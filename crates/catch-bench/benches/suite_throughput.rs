@@ -201,9 +201,7 @@ fn main() {
     }
 
     if std::env::var_os("CATCH_BENCH_CHECK").is_some() {
-        let min_speedup = std::env::var("CATCH_SUITE_MIN_SPEEDUP")
-            .ok()
-            .and_then(|v| v.parse().ok())
+        let min_speedup = catch_harness::env_var("CATCH_SUITE_MIN_SPEEDUP", str::parse)
             .unwrap_or(DEFAULT_MIN_SPEEDUP);
         if !identical {
             eprintln!("suite_throughput FAILED: cache modes changed report bytes");

@@ -18,35 +18,34 @@
 //! * `CATCH_BENCH_ITERS` / `CATCH_BENCH_WARMUP_ITERS` — timed and
 //!   warm-up iterations of the whole experiment (defaults 3 and 1).
 //! * `CATCH_BENCH_JSON` — also print a machine-readable JSON summary.
+//!
+//! Unset variables keep their defaults; a malformed value (say
+//! `CATCH_OPS=80k` or `CATCH_FIDELITY=lightning`) panics naming the
+//! variable instead of silently running the default.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use catch_core::experiments::{self, EvalConfig, Fidelity};
-use catch_harness::Harness;
+use catch_harness::{env_var, Harness};
 
 /// Reads the evaluation scale from the environment (see crate docs).
+///
+/// # Panics
+///
+/// Panics on a malformed value, naming the variable.
 pub fn eval_from_env() -> EvalConfig {
     let mut eval = EvalConfig::standard();
-    if let Some(ops) = std::env::var("CATCH_OPS").ok().and_then(|v| v.parse().ok()) {
+    if let Some(ops) = env_var("CATCH_OPS", str::parse) {
         eval.ops = ops;
     }
-    if let Some(warmup) = std::env::var("CATCH_WARMUP")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(warmup) = env_var("CATCH_WARMUP", str::parse) {
         eval.warmup = warmup;
     }
-    if let Some(seed) = std::env::var("CATCH_SEED")
-        .ok()
-        .and_then(|v| v.parse().ok())
-    {
+    if let Some(seed) = env_var("CATCH_SEED", str::parse) {
         eval.seed = seed;
     }
-    if let Some(fidelity) = std::env::var("CATCH_FIDELITY")
-        .ok()
-        .and_then(|v| Fidelity::parse(&v).ok())
-    {
+    if let Some(fidelity) = env_var("CATCH_FIDELITY", Fidelity::parse) {
         eval.fidelity = fidelity;
     }
     eval

@@ -1,15 +1,21 @@
 //! Cycle-level out-of-order core model.
 //!
 //! Models a Skylake-like core (4-wide, 224-entry ROB, 3.2 GHz) executing a
-//! retired-path trace against the `catch-cache` hierarchy:
+//! retired-path trace against the `catch-cache` hierarchy. Both detailed
+//! cores are one [`Pipeline`] shell (front end, fetch buffer, memory
+//! interface, detector feed, clock and skip-ahead, occupancy samples)
+//! around a [`BackEnd`]; [`run_lockstep`] is the one cycle loop for both:
 //!
 //! * **Front end** ([`Frontend`]): in-order fetch with a gshare branch
 //!   predictor and L1I accesses; an L1I miss stalls fetch, optionally
 //!   triggering the TACT code-runahead prefetcher; a mispredicted branch
 //!   blocks fetch until it resolves plus a redirect penalty.
-//! * **Back end** ([`Core`]): in-order allocation into the ROB, age-ordered
-//!   scheduling with per-class execution-port limits, loads/stores against
-//!   the hierarchy with store-to-load forwarding, in-order retirement.
+//! * **Back end** ([`Core`] = `Pipeline<`[`Ooo`]`>`): in-order allocation
+//!   into the ROB, age-ordered scheduling with per-class execution-port
+//!   limits, loads/stores against the hierarchy with store-to-load
+//!   forwarding, in-order retirement. [`LiteCore`] =
+//!   `Pipeline<`[`Scoreboard`]`>` swaps it for the timing-lite
+//!   in-order-issue scoreboard.
 //! * **Criticality & TACT**: retired instructions feed the
 //!   `catch-criticality` detector; detected critical PCs arm the TACT
 //!   prefetchers which inject L1 prefetches on load execution.
@@ -49,14 +55,16 @@ mod core;
 mod frontend;
 mod lite;
 mod memory;
+mod pipeline;
 mod rob;
 mod stats;
 
 pub use branch::BranchUnit;
 pub use config::{CoreConfig, DetectorKind, ExecLatencies, LoadOracle, PortConfig, TactMode};
-pub use core::{run_lockstep, Core};
+pub use core::{Core, Ooo};
 pub use frontend::Frontend;
-pub use lite::{run_fast_functional, LiteCore};
+pub use lite::{run_fast_functional, LiteCore, Scoreboard};
 pub use memory::MemoryInterface;
+pub use pipeline::{run_lockstep, BackEnd, Pipeline};
 pub use rob::{Rob, RobEntry};
 pub use stats::CoreStats;
