@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod area;
+pub mod cli;
 pub mod energy;
 pub mod experiments;
 mod metrics;

@@ -91,6 +91,10 @@ pub struct Pipeline<B: BackEnd> {
     /// (bounded by `max_outstanding_loads` — the L1D MSHR file), pruned
     /// lazily by [`Pipeline::mshrs_full`].
     pub(crate) outstanding_loads: Vec<u64>,
+    /// The cycle at which [`Pipeline::mshrs_full`] last found every
+    /// load MSHR held. No load issues for the rest of that cycle, so the
+    /// file stays full and later calls in the same cycle skip the scan.
+    mshrs_full_at: Option<u64>,
     pub(crate) obs: Obs,
     /// The event queue driving stall skip-ahead: every wake source
     /// posts a [`ServiceRequest`] at its event cycle, and the idle-skip
@@ -133,6 +137,7 @@ impl<B: BackEnd> Pipeline<B> {
             critical_sync_at: CRITICAL_SYNC_INTERVAL,
             warmup_snapshot: None,
             outstanding_loads: Vec::with_capacity(config.max_outstanding_loads + 1),
+            mshrs_full_at: None,
             obs: Obs::off(),
             timeq: CalendarQueue::new(),
             rob_occ: OccupancyHist::default(),
@@ -428,6 +433,7 @@ impl<B: BackEnd> Pipeline<B> {
         // treats their consumers as ready.
         self.last_writer = [None; ArchReg::COUNT];
         self.outstanding_loads.clear();
+        self.mshrs_full_at = None;
         self.back.reset(self.cycle);
         // Reservations for the abandoned detailed interval are
         // meaningless at the fast-forwarded clock; drop them.
@@ -462,14 +468,23 @@ impl<B: BackEnd> Pipeline<B> {
     /// are pruned lazily — only when the list hits the cap — so the
     /// common case does no per-cycle scan. Everything kept (and
     /// everything pushed this cycle) completes after `cycle`, so length
-    /// is live occupancy.
+    /// is live occupancy. A full file is remembered for the rest of
+    /// `cycle`: the issue scan asks once per issuable load.
     pub(crate) fn mshrs_full(&mut self, cycle: u64) -> bool {
         let cap = self.config.max_outstanding_loads;
+        if self.mshrs_full_at == Some(cycle) {
+            debug_assert!(self.outstanding_loads.len() >= cap);
+            return true;
+        }
         if self.outstanding_loads.len() < cap {
             return false;
         }
         self.outstanding_loads.retain(|&done| done > cycle);
-        self.outstanding_loads.len() >= cap
+        let full = self.outstanding_loads.len() >= cap;
+        if full {
+            self.mshrs_full_at = Some(cycle);
+        }
+        full
     }
 
     /// Retires one µop at `cycle`: its retire event, the retired count,

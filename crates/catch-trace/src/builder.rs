@@ -55,11 +55,19 @@ impl TraceBuilder {
     /// Creates a builder starting at PC `0x40_0000` with category
     /// [`Category::Client`].
     pub fn new(name: impl Into<String>) -> Self {
+        Self::with_capacity(name, 0)
+    }
+
+    /// Like [`TraceBuilder::new`], with room for `ops` micro-ops before
+    /// the buffer grows. A generator that knows its length builds at its
+    /// final size: no doubling copies, and no freed slack left behind in
+    /// the allocator once the trace is dropped.
+    pub fn with_capacity(name: impl Into<String>, ops: usize) -> Self {
         TraceBuilder {
             name: name.into(),
             category: Category::Client,
             pc: Pc::new(0x40_0000),
-            ops: Vec::new(),
+            ops: Vec::with_capacity(ops),
         }
     }
 
@@ -307,6 +315,18 @@ mod tests {
         let t = b.build();
         assert_eq!(t.len(), 1000);
         assert_eq!(t.heap_bytes(), 1000 * std::mem::size_of::<MicroOp>());
+    }
+
+    #[test]
+    fn a_reserved_builder_never_regrows() {
+        let mut b = TraceBuilder::with_capacity("t", 1000);
+        let buffer = b.ops.as_ptr();
+        for _ in 0..1000 {
+            b.nop();
+        }
+        assert_eq!(b.ops.as_ptr(), buffer, "the reserved buffer moved");
+        assert_eq!(b.ops.capacity(), 1000);
+        assert_eq!(b.build().ops().as_ptr(), buffer, "build() copied the ops");
     }
 
     #[test]

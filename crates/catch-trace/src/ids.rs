@@ -19,7 +19,13 @@ pub const PAGE_BYTES: u64 = 4096;
 /// let a = Addr::new(0x1234);
 /// assert_eq!(a.line().base().get(), 0x1200 & !63);
 /// ```
+///
+/// Packed to alignment 1, so that an `Option<MemRef>` is 9 bytes and a
+/// `MicroOp` 32. The derives copy the `u64` out before comparing or
+/// hashing it, so ordering and hashing are those of the raw value; read
+/// it through [`Addr::get`] rather than borrowing the field.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[repr(C, packed)]
 pub struct Addr(u64);
 
 impl Addr {
@@ -51,13 +57,13 @@ impl Addr {
 
 impl fmt::Debug for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Addr({:#x})", self.0)
+        write!(f, "Addr({:#x})", self.get())
     }
 }
 
 impl fmt::Display for Addr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:#x}", self.0)
+        write!(f, "{:#x}", self.get())
     }
 }
 
@@ -254,6 +260,23 @@ mod tests {
         assert_eq!(a.line().get(), (4096 + 65) / 64);
         assert_eq!(a.page().get(), 1);
         assert_eq!(a.line().base().get(), 4096 + 64);
+    }
+
+    #[test]
+    fn packed_addr_hashes_orders_and_formats_as_its_u64() {
+        use std::hash::BuildHasher;
+        let hasher = crate::hash::FxBuildHasher::default();
+        let raws = [0u64, 1, 63, 64, 0x1234, 0xdead_beef, 1 << 41, u64::MAX];
+        for &a in &raws {
+            let addr = Addr::new(a);
+            assert_eq!(hasher.hash_one(addr), hasher.hash_one(a));
+            assert_eq!(format!("{addr:?}"), format!("Addr({a:#x})"));
+            assert_eq!(format!("{addr}"), format!("{a:#x}"));
+            for &b in &raws {
+                assert_eq!(addr.cmp(&Addr::new(b)), a.cmp(&b));
+                assert_eq!(addr == Addr::new(b), a == b);
+            }
+        }
     }
 
     #[test]

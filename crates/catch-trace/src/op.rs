@@ -59,7 +59,7 @@ pub type SrcRegs = [Option<ArchReg>; 3];
 /// A memory reference attached to a load or store.
 ///
 /// The access size is never zero, which gives `Option<MemRef>` a niche:
-/// it is 16 bytes, the same as a `MemRef`.
+/// it is 9 bytes, the same as a `MemRef` (an [`Addr`] has alignment 1).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct MemRef {
     /// Byte address referenced.
@@ -119,7 +119,7 @@ pub struct BranchInfo {
 const TAKEN_BIT: u8 = 1;
 const KIND_SHIFT: u32 = 1;
 
-/// One retired-path micro-operation, 40 bytes.
+/// One retired-path micro-operation, 32 bytes (half a cache line).
 ///
 /// `MicroOp` is the unit the core model allocates, schedules, executes and
 /// retires. Loads carry the value they load ([`MicroOp::load_value`]) so
@@ -150,9 +150,10 @@ pub struct MicroOp {
     pub dst: Option<ArchReg>,
 }
 
-const _: () = assert!(std::mem::size_of::<MicroOp>() <= 40);
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 32);
 const _: () = assert!(std::mem::size_of::<Option<ArchReg>>() == 1);
-const _: () = assert!(std::mem::size_of::<Option<MemRef>>() == 16);
+const _: () = assert!(std::mem::size_of::<Option<MemRef>>() == 9);
+const _: () = assert!(std::mem::align_of::<Addr>() == 1);
 
 impl MicroOp {
     /// Creates a non-memory, non-branch op.

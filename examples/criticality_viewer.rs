@@ -7,6 +7,7 @@
 //! ```
 
 use catch_cache::{CacheHierarchy, HierarchyConfig};
+use catch_core::cli::parse_arg;
 use catch_cpu::{Core, CoreConfig};
 use catch_criticality::area::AreaBudget;
 use catch_dram::{DramConfig, DramSystem};
@@ -15,7 +16,9 @@ use catch_workloads::suite;
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "astar_like".to_string());
-    let ops: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(60_000);
+    let ops = parse_arg("ops", args.next().as_deref(), str::parse)
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or(60_000);
 
     let spec = suite::by_name(&name).unwrap_or_else(|e| {
         eprintln!("{e}");

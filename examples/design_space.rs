@@ -10,8 +10,9 @@
 //!
 //! `grid` is a sweep preset (`quick` by default, `paper` for the full
 //! 600-point grid). Add `--md` for markdown output. Pass a checkpoint
-//! through the full CLI instead: `run_experiment sweep --checkpoint f`.
+//! through the full CLI instead: `run_experiment --checkpoint f sweep`.
 
+use catch_core::cli::parse_arg;
 use catch_core::experiments::{EvalConfig, Fidelity};
 use catch_core::sweep::{run_sweep, SweepOptions, SweepSpec};
 use catch_core::RunCache;
@@ -20,9 +21,8 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let md = args.iter().any(|a| a == "--md");
     let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let ops: usize = positional
-        .first()
-        .and_then(|s| s.parse().ok())
+    let ops = parse_arg("ops", positional.first().map(|s| s.as_str()), str::parse)
+        .unwrap_or_else(|e| e.exit())
         .unwrap_or(30_000);
     let grid = positional.get(1).map(|s| s.as_str()).unwrap_or("quick");
 

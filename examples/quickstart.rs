@@ -5,13 +5,16 @@
 //! cargo run --release --example quickstart [workload] [ops]
 //! ```
 
+use catch_core::cli::parse_arg;
 use catch_core::{System, SystemConfig};
 use catch_workloads::suite;
 
 fn main() {
     let mut args = std::env::args().skip(1);
     let name = args.next().unwrap_or_else(|| "xalanc_like".to_string());
-    let ops: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(60_000);
+    let ops = parse_arg("ops", args.next().as_deref(), str::parse)
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or(60_000);
 
     let spec = match suite::by_name(&name) {
         Ok(s) => s,

@@ -19,7 +19,7 @@
 //! cargo run --release --example run_experiment -- --server /tmp/catch.sock fig10
 //! cargo run --release --example run_experiment -- cache-stats   # shard inventory
 //! cargo run --release --example run_experiment -- sweep         # quick design-space grid
-//! cargo run --release --example run_experiment -- sweep:paper --checkpoint /tmp/s.journal
+//! cargo run --release --example run_experiment -- --checkpoint /tmp/s.journal sweep:paper
 //! cargo run --release --example run_experiment -- sweep-smoke   # CI gate
 //! cargo run --release --example run_experiment -- --fidelity lite sweep:paper
 //! cargo run --release --example run_experiment -- ladder-smoke  # CI gate
@@ -141,6 +141,7 @@
 //! error vs the OOO reference, and exits non-zero when a timing-lite
 //! error exceeds its budget (IPC or MPKI).
 
+use catch_core::cli::parse_arg;
 use catch_core::experiments::{self, runner, EvalConfig, Fidelity, GOLDEN_WORKLOADS};
 use catch_core::{
     merge_parts, part_path, CacheMode, ChromeTraceSink, CountingSink, EventClass, JsonlSink,
@@ -1063,11 +1064,22 @@ fn main() {
     if let Some(f) = fidelity {
         eval.fidelity = f;
     }
-    if let Some(ops) = args.get(1).and_then(|s| s.parse().ok()) {
-        eval.ops = ops;
-    }
-    if let Some(warmup) = args.get(2).and_then(|s| s.parse().ok()) {
-        eval.warmup = warmup;
+    // `serve` and `cache-stats` take a path where the other ids take
+    // `[ops] [warmup]`.
+    if !matches!(
+        args.first().map(String::as_str),
+        Some("serve" | "cache-stats")
+    ) {
+        let scale = |i: usize, name: &str| {
+            parse_arg(name, args.get(i).map(String::as_str), str::parse)
+                .unwrap_or_else(|e| e.exit())
+        };
+        if let Some(ops) = scale(1, "ops") {
+            eval.ops = ops;
+        }
+        if let Some(warmup) = scale(2, "warmup") {
+            eval.warmup = warmup;
+        }
     }
     if let Some(path) = trace_events {
         let workload = args.first().map(String::as_str).unwrap_or("tpcc_like");

@@ -7,6 +7,7 @@
 //! cargo run --release --example rung_timing [OPS [WARMUP]]
 //! ```
 
+use catch_core::cli::parse_arg;
 use catch_core::experiments::{Fidelity, GOLDEN_WORKLOADS};
 use catch_core::{System, SystemConfig};
 use catch_obs::Obs;
@@ -15,8 +16,12 @@ use std::time::Instant;
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let ops: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(80_000);
-    let warmup: usize = args.next().and_then(|v| v.parse().ok()).unwrap_or(30_000);
+    let ops = parse_arg("ops", args.next().as_deref(), str::parse)
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or(80_000);
+    let warmup = parse_arg("warmup", args.next().as_deref(), str::parse)
+        .unwrap_or_else(|e| e.exit())
+        .unwrap_or(30_000);
     let traces: Vec<_> = GOLDEN_WORKLOADS
         .iter()
         .map(|name| {

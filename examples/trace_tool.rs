@@ -7,6 +7,7 @@
 //! cargo run --release --example trace_tool -- run out.ctrc
 //! ```
 
+use catch_core::cli::parse_arg;
 use catch_core::{System, SystemConfig};
 use catch_trace::Trace;
 use catch_workloads::suite;
@@ -40,8 +41,12 @@ fn main() {
             let (Some(workload), Some(path)) = (args.get(1), args.get(2)) else {
                 usage()
             };
-            let ops = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(50_000);
-            let seed = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(42);
+            let ops = parse_arg("ops", args.get(3).map(String::as_str), str::parse)
+                .unwrap_or_else(|e| e.exit())
+                .unwrap_or(50_000);
+            let seed = parse_arg("seed", args.get(4).map(String::as_str), str::parse)
+                .unwrap_or_else(|e| e.exit())
+                .unwrap_or(42);
             let spec = suite::by_name(workload).unwrap_or_else(|e| {
                 eprintln!("{e}");
                 exit(1);
@@ -63,7 +68,9 @@ fn main() {
         }
         Some("dump") => {
             let Some(path) = args.get(1) else { usage() };
-            let count = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(32);
+            let count = parse_arg("count", args.get(2).map(String::as_str), str::parse)
+                .unwrap_or_else(|e| e.exit())
+                .unwrap_or(32);
             let trace = load_trace(path);
             for (i, op) in trace.ops().iter().take(count).enumerate() {
                 let mem = op.mem.map(|m| format!(" [{}]", m.addr)).unwrap_or_default();
