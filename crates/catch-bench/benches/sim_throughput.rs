@@ -32,7 +32,7 @@
 //! `CATCH_NO_SKIP=1 cargo bench ...` measures the naive per-cycle loop
 //! on the same scale.
 
-use catch_bench::{eval_from_env, pin_ooo};
+use catch_bench::eval_from_env;
 use catch_core::experiments::GOLDEN_WORKLOADS;
 use catch_core::{System, SystemConfig};
 use catch_harness::{env_var, Harness};
@@ -124,8 +124,7 @@ fn extract_number(json: &str, key: &str) -> Option<f64> {
 }
 
 fn main() {
-    let mut eval = eval_from_env();
-    pin_ooo(&mut eval);
+    let eval = eval_from_env();
     let system = System::new(SystemConfig::baseline_exclusive().with_catch());
     let cycle_loop = if system.config().core.skip_ahead {
         "skip-ahead"
@@ -186,11 +185,10 @@ fn main() {
             1.0
         };
         let json = format!(
-            "{{\n  \"bench\": \"sim_throughput\",\n  \"scale\": {{ \"ops\": {}, \"seed\": {}, \"iters\": {} }},\n  \"fidelity\": \"{}\",\n  \"pre_pr\": {},\n  \"reference\": {},\n  \"speedup_geomean\": {:.4}\n}}\n",
+            "{{\n  \"bench\": \"sim_throughput\",\n  \"scale\": {{ \"ops\": {}, \"seed\": {}, \"iters\": {} }},\n  \"fidelity\": \"ooo\",\n  \"pre_pr\": {},\n  \"reference\": {},\n  \"speedup_geomean\": {:.4}\n}}\n",
             eval.ops,
             eval.seed,
             rates.first().map(|_| harness.results()[0].iters).unwrap_or(0),
-            eval.fidelity.label(),
             pre_pr,
             current,
             speedup,

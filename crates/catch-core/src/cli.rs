@@ -28,6 +28,15 @@ impl Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl ArgError {
+    /// The argument `name`, given as `value`, rejected for `reason`.
+    pub fn new(name: &str, value: &str, reason: impl Display) -> Self {
+        Self {
+            name: name.to_string(),
+            value: value.to_string(),
+            reason: reason.to_string(),
+        }
+    }
+
     /// Prints the error to stderr and exits with status 2 (bad usage).
     pub fn exit(self) -> ! {
         eprintln!("{self}");
@@ -61,11 +70,9 @@ pub fn parse_arg<T, E: Display>(
     let Some(text) = raw else {
         return Ok(None);
     };
-    parse(text).map(Some).map_err(|e| ArgError {
-        name: name.to_string(),
-        value: text.to_string(),
-        reason: e.to_string(),
-    })
+    parse(text)
+        .map(Some)
+        .map_err(|e| ArgError::new(name, text, e))
 }
 
 #[cfg(test)]

@@ -2,8 +2,8 @@
 //!
 //! Every experiment takes an [`EvalConfig`] (instruction budget + seed)
 //! and returns an [`ExperimentReport`] whose tables print the same rows
-//! and series the paper reports. The `catch-bench` crate wraps each as a
-//! `cargo bench` target; `EXPERIMENTS.md` records paper-vs-measured.
+//! and series the paper reports. The `run_experiment` example runs each
+//! by id; `EXPERIMENTS.md` records paper-vs-measured.
 
 mod ablations;
 mod fig01_remove_l2;

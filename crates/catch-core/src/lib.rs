@@ -13,7 +13,7 @@
 //!   execution ([`System::run_sampled`]) trades detail for speed with a
 //!   reported error estimate.
 //! * [`experiments`] regenerates every table and figure of the paper; the
-//!   `catch-bench` crate exposes them as `cargo bench` targets.
+//!   `run_experiment` example runs any of them by id.
 //! * [`energy`] implements the CACTI/Orion/Micron-inspired energy model
 //!   behind Figure 16.
 //! * [`sweep`] expands declarative design-space grids into hundreds of

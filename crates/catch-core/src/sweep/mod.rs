@@ -30,7 +30,7 @@
 //!   (fast or timing-lite), the grid is *screened*: every point runs on
 //!   that rung at the reduced [`EvalConfig::screened`] scale, and the
 //!   OOO reference is spent only where it matters. A sparse spot-check
-//!   pass (every [`SweepOptions::spot_stride`]-th point) seeds the
+//!   pass (every [`DEFAULT_SPOT_STRIDE`]-th point) seeds the
 //!   **stratified calibration**: rung→reference scale factors per
 //!   objective are fitted per grid *family* (a point's axis combination
 //!   minus the capacity axis), falling back to the CATCH stratum and
@@ -333,7 +333,7 @@ pub fn point_fingerprint(
     ))
 }
 
-/// Default ladder-mode spot-check stride: one OOO reference run per
+/// Ladder-mode spot-check stride: one OOO reference run per
 /// this many grid points (every grid gets at least the first point as a
 /// seed). Spots only *seed* the calibration — the wave loop refits it
 /// from every validated pair as validation accumulates, and the waves
@@ -501,11 +501,6 @@ pub struct SweepOptions {
     /// the rest pending in the journal (the cooperative interruption
     /// hook behind resumability tests and budgeted sweeps).
     pub limit: Option<usize>,
-    /// Ladder mode only: OOO spot-check stride (`None` =
-    /// [`DEFAULT_SPOT_STRIDE`]). Like `limit`, this is a coverage knob,
-    /// not part of the sweep's structural fingerprint — changing it
-    /// only changes how many extra validations the journal accumulates.
-    pub spot_stride: Option<usize>,
 }
 
 /// Aggregate metrics of one completed point.
@@ -778,8 +773,8 @@ pub fn run_sweep(
 
     // Ladder mode: spend the OOO reference where it matters.
     //
-    // 1. Periodic spot checks re-run every `spot_stride`-th point at the
-    //    reference; the (rung, reference) pairs *calibrate* the screen —
+    // 1. Periodic spot checks re-run every `DEFAULT_SPOT_STRIDE`-th point
+    //    at the reference; the (rung, reference) pairs *calibrate* the screen —
     //    a fitted scale factor per objective plus a residual margin.
     // 2. Frontier validation runs in waves to a fixpoint: each wave
     //    re-runs exactly the unvalidated points that are non-dominated
@@ -801,9 +796,8 @@ pub fn run_sweep(
                 ooo_metrics[i] = Some(*m);
             }
         }
-        let stride = opts.spot_stride.unwrap_or(DEFAULT_SPOT_STRIDE).max(1);
         let spot: Vec<usize> = (0..total)
-            .step_by(stride)
+            .step_by(DEFAULT_SPOT_STRIDE)
             .filter(|&i| metrics[i].is_some() && ooo_metrics[i].is_none())
             .collect();
         for (i, m) in evaluate(&spot, &ooo_eval, baseline_ooo, &ooo_fps) {

@@ -4,7 +4,7 @@
 //! graph buffer (per-instruction edge storage for a 2×-ROB window) plus
 //! ~1 KB of 10-bit hashed PCs for the 2.5×-ROB buffer. This module encodes
 //! those numbers so they can be asserted in tests and printed by the
-//! `tab1_area` bench target.
+//! `tab1` experiment (`run_experiment tab1`).
 
 /// Bits of storage per instruction for each edge class (Table I).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

@@ -11,7 +11,7 @@
 //!
 //! [`HeuristicDetector`] implements that family over the same retired
 //! stream the graph detector consumes, so the two can be swapped under
-//! CATCH and compared (the `heuristic_detector` bench target).
+//! CATCH and compared (the `heuristic` experiment, `run_experiment heuristic`).
 
 use crate::config::DetectorConfig;
 use crate::detector::DetectorStats;

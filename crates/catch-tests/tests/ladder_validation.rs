@@ -164,7 +164,6 @@ fn journal_written_under_one_fidelity_plan_rejects_another() {
         jobs: None,
         checkpoint: Some(journal.clone()),
         limit,
-        spot_stride: None,
     };
     run_sweep(&spec, &eval, &opts(Some(3))).expect("partial lite sweep");
 

@@ -55,7 +55,6 @@ fn interrupted_sweep_resumes_byte_identically_with_zero_recompute() {
             jobs: None,
             checkpoint: Some(ref_journal),
             limit: None,
-            spot_stride: None,
         },
     )
     .expect("reference sweep");
@@ -71,7 +70,6 @@ fn interrupted_sweep_resumes_byte_identically_with_zero_recompute() {
         jobs: None,
         checkpoint: Some(journal),
         limit: None,
-        spot_stride: None,
     };
     let partial = run_sweep(
         &spec,

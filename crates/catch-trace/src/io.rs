@@ -33,6 +33,8 @@ const FLAG_MEM: u8 = 1;
 const FLAG_VALUE: u8 = 2;
 const FLAG_BRANCH: u8 = 4;
 const NO_REG: u8 = 0xFF;
+/// Most ops [`Trace::read_from`] reserves ahead of reading them.
+const MAX_RESERVE: u64 = 1 << 20;
 
 /// Error reading a serialized trace.
 #[derive(Debug)]
@@ -232,7 +234,10 @@ impl Trace {
         if count > 1 << 32 {
             return Err(TraceIoError::Corrupt("op count"));
         }
-        let mut ops = Vec::with_capacity(count as usize);
+        // The header's count is untrusted: reserve at most a bounded
+        // prefix and let the `Vec` grow, so a short file that claims
+        // billions of ops fails as a read error, not an allocation abort.
+        let mut ops = Vec::with_capacity(count.min(MAX_RESERVE) as usize);
         for _ in 0..count {
             let pc = Pc::new(read_u64(r)?);
             let [class, flags] = read_exact::<2>(r)?;
@@ -391,6 +396,16 @@ mod tests {
         buf[flags_at] |= 0x80;
         let err = Trace::read_from(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, TraceIoError::Corrupt("op flags")), "{err}");
+    }
+
+    #[test]
+    fn a_header_claiming_more_ops_than_it_holds_is_an_error() {
+        let mut buf = Vec::new();
+        TraceBuilder::new("").build().write_to(&mut buf).unwrap();
+        let count_at = buf.len() - 8;
+        buf[count_at..].copy_from_slice(&(1u64 << 32).to_le_bytes());
+        let err = Trace::read_from(&mut buf.as_slice()).unwrap_err();
+        assert!(matches!(err, TraceIoError::Io(_)), "{err}");
     }
 
     #[test]

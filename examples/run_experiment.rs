@@ -1,4 +1,5 @@
-//! Runs any paper experiment by id (same registry the bench targets use).
+//! The one command line for the experiment registry: runs, regenerates
+//! and gates every paper experiment by id.
 //!
 //! ```sh
 //! cargo run --release --example run_experiment -- fig10
@@ -10,9 +11,6 @@
 //! cargo run --release --example run_experiment -- --cache-dir /tmp/cc fig10
 //! cargo run --release --example run_experiment -- --no-cache fig10
 //! cargo run --release --example run_experiment -- sample-smoke  # CI gate
-//! cargo run --release --example run_experiment -- obs-smoke     # CI gate
-//! cargo run --release --example run_experiment -- cache-smoke   # CI gate
-//! cargo run --release --example run_experiment -- server-smoke  # CI gate
 //! cargo run --release --example run_experiment -- --trace-events t.json
 //! cargo run --release --example run_experiment -- --profile tpcc_like
 //! cargo run --release --example run_experiment -- serve /tmp/catch.sock
@@ -20,15 +18,21 @@
 //! cargo run --release --example run_experiment -- cache-stats   # shard inventory
 //! cargo run --release --example run_experiment -- sweep         # quick design-space grid
 //! cargo run --release --example run_experiment -- --checkpoint /tmp/s.journal sweep:paper
-//! cargo run --release --example run_experiment -- sweep-smoke   # CI gate
 //! cargo run --release --example run_experiment -- --fidelity lite sweep:paper
-//! cargo run --release --example run_experiment -- ladder-smoke  # CI gate
 //! cargo run --release --example run_experiment                  # lists ids
 //! ```
+//!
+//! Flags come first, in any order; then `<id> [ops] [warmup]`. A
+//! malformed value, a flag the chosen mode never reads (say `--workers`
+//! outside `serve`, or `--checkpoint` outside a local sweep) and an
+//! argument past `[warmup]` are errors: each exits 2 naming it.
 //!
 //! `--jobs N` sets the worker-thread count for suite runs (equivalent to
 //! `CATCH_JOBS=N`; default: all cores). Results are bit-identical for
 //! every N — parallelism only changes wall-clock time.
+//!
+//! `CATCH_SEED=S` sets the trace-generation seed of every simulation
+//! (default 42); a malformed value exits 2 naming it.
 //!
 //! `--sample I` runs each workload in SimPoint-style sampled mode with
 //! `I`-op intervals instead of simulating every op in detail (see
@@ -49,36 +53,19 @@
 //! id the positional argument names a workload (default `tpcc_like`, or
 //! `all` for every golden workload) which is simulated under the CATCH
 //! configuration, on the `--fidelity` rung, with the full observability
-//! layer attached, writing a
-//! cycle-stamped event trace to PATH — Chrome `about://tracing` JSON by
-//! default, JSONL when PATH ends in `.jsonl`. With `all`, workloads run
-//! in parallel on the suite runner; each job writes a part file and the
-//! parts are merged in job-index order, so the trace is byte-identical
-//! for every `--jobs` value.
+//! layer attached, writing a cycle-stamped event trace to PATH — Chrome
+//! `about://tracing` JSON by default, JSONL when PATH ends in `.jsonl`.
+//! For `all` the workloads run on the suite runner; each job writes a
+//! part file and the parts are merged in job-index order, so the trace
+//! is byte-identical for every `--jobs` value.
 //!
 //! `--profile` runs one workload (default `tpcc_like`, on the
-//! `--fidelity` rung) with a counting sink and prints the event taxonomy histogram plus the core's sampled
-//! ROB / scheduler / MSHR occupancies.
+//! `--fidelity` rung) with a counting sink and prints the event taxonomy
+//! histogram plus the core's sampled ROB / scheduler / MSHR occupancies.
 //!
-//! The special id `sample-smoke` is the CI accuracy gate: it runs one
-//! golden workload full and sampled, prints both IPCs with the plan's
-//! reported error bound, and exits non-zero if either the reported bound
-//! or the actual IPC error reaches 5%.
-//!
-//! The special id `obs-smoke` is the CI observability-overhead gate: it
-//! times one golden workload with observability fully off against the
-//! same run with a sink attached but every event class masked, and exits
-//! non-zero when the masked run is ≥ 2% slower (min-of-N timing). It also
-//! asserts the two runs retire identical core statistics.
-//!
-//! The special id `cache-smoke` is the CI run-cache gate: it runs the
-//! whole registry twice against a persistent cache directory (dropping
-//! the in-memory cache in between, so the second pass loads from disk),
-//! and exits non-zero unless the second pass is ≥ 2× faster, every
-//! report is byte-identical, and the second pass recomputed nothing, met
-//! no corrupt entry and loaded exactly the entries the first one left.
-//! The first pass must build each suite workload's trace once, the
-//! second none.
+//! The `*-smoke` ids are the CI gates, one row each of [`GATES`]: each
+//! prints its measurements, then `<id> OK (<summary>)` and exits 0, or
+//! one `<id> FAILED: <reason>` line per failure and exits 1.
 //!
 //! The `serve` subcommand starts the simulation daemon on a unix socket
 //! (see DESIGN.md §12): experiment requests arrive as newline-delimited
@@ -102,29 +89,15 @@
 //! (shard count, bytes, entry ages) for the directory selected by
 //! `--cache-dir`/`CATCH_RUN_CACHE` or an optional positional path.
 //!
-//! The special id `server-smoke` is the CI simulation-service gate: it
-//! starts an in-process daemon on a temp socket, submits the same
-//! golden-workload experiment from two clients, and exits non-zero
-//! unless both responses are byte-identical to a local run, the second
-//! response triggered zero recomputation (warm cache via `/stats`), and
-//! the daemon shuts down cleanly (socket unlinked, all threads joined).
-//!
 //! The ids `sweep`, `sweep:quick` and `sweep:paper` run a design-space
 //! grid through the sweep engine (see DESIGN.md §13): points execute on
 //! the parallel runner through the run cache and the report ranks the
 //! Pareto frontier over perf vs energy vs area. `--checkpoint PATH`
 //! journals completed points so an interrupted sweep resumes with zero
 //! recompute; `--points N` stops after N new points (budgeted slices of
-//! a long sweep). The same ids are accepted by a daemon, where sweeps
-//! drain through the `sweep` priority class behind interactive work:
-//! `--server SOCK --priority sweep sweep:paper`.
-//!
-//! The special id `sweep-smoke` is the CI sweep gate: it runs the quick
-//! grid twice against one checkpoint journal — first in an interrupted
-//! prefix (`--points`-style) plus completion, then fully resumed from
-//! the journal — and exits non-zero unless the resumed pass recomputes
-//! nothing (run-cache miss delta zero) and renders byte-identical
-//! report bytes.
+//! a long sweep; exit 3 while points remain). The same ids are accepted
+//! by a daemon, where sweeps drain through the `sweep` priority class
+//! behind interactive work: `--server SOCK --priority sweep sweep:paper`.
 //!
 //! `--fidelity fast|lite|ooo` selects the model rung every simulation
 //! runs on (DESIGN.md §14): `ooo` is the full out-of-order reference
@@ -135,25 +108,267 @@
 //! sweep runs the whole grid on the cheap rung and re-validates the
 //! spot-check stride plus every frontier candidate at the OOO
 //! reference, so Pareto frontier rows are always OOO-measured.
-//!
-//! The special id `ladder-smoke` is the CI fidelity-ladder gate: it
-//! runs every golden workload on all three rungs, prints the per-rung
-//! error vs the OOO reference, and exits non-zero when a timing-lite
-//! error exceeds its budget (IPC or MPKI).
 
-use catch_core::cli::parse_arg;
+use catch_core::cli::{parse_arg, ArgError};
 use catch_core::experiments::{self, runner, EvalConfig, Fidelity, GOLDEN_WORKLOADS};
+use catch_core::sweep::{self, run_sweep, SweepOptions, SweepSpec};
 use catch_core::{
-    merge_parts, part_path, CacheMode, ChromeTraceSink, CountingSink, EventClass, JsonlSink,
-    NullSink, Obs, OccupancyHist, RunCache, SampleConfig, System, SystemConfig, TraceFormat,
+    merge_parts, part_path, CacheMode, ChromeTraceSink, CountingSink, EventClass, EventSink,
+    JsonlSink, NullSink, Obs, OccupancyHist, RunCache, SampleConfig, System, SystemConfig,
+    TraceFormat,
 };
 use catch_server::{cachedao, Client, Priority, Server, ServerConfig};
 use catch_workloads::suite;
+use std::fmt::Display;
+use std::io;
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-fn usage_and_exit() -> ! {
+/// The trace-generation seed (default: the standard one).
+const SEED_ENV: &str = "CATCH_SEED";
+
+/// A gate's verdict: its summary, or every failure it found.
+type Verdict = Result<String, Vec<String>>;
+
+/// One CI gate: `run_experiment <id> [ops] [warmup]`.
+#[derive(Debug)]
+struct Gate {
+    id: &'static str,
+    about: &'static str,
+    run: fn(&EvalConfig) -> Verdict,
+}
+
+/// Every CI gate, in usage order.
+const GATES: &[Gate] = &[
+    Gate {
+        id: "sample-smoke",
+        about: "CI accuracy gate",
+        run: sample_smoke,
+    },
+    Gate {
+        id: "obs-smoke",
+        about: "CI observability-overhead gate",
+        run: obs_smoke,
+    },
+    Gate {
+        id: "cache-smoke",
+        about: "CI run-cache gate",
+        run: cache_smoke,
+    },
+    Gate {
+        id: "server-smoke",
+        about: "CI simulation-service gate",
+        run: server_smoke,
+    },
+    Gate {
+        id: "sweep-smoke",
+        about: "CI sweep resumability gate",
+        run: sweep_smoke,
+    },
+    Gate {
+        id: "ladder-smoke",
+        about: "CI fidelity-ladder accuracy gate",
+        run: ladder_smoke,
+    },
+];
+
+/// What the positional id selects.
+#[derive(Debug)]
+enum Mode {
+    /// No id: print the usage and the id list.
+    Usage,
+    Trace {
+        path: PathBuf,
+        workload: String,
+    },
+    Profile(String),
+    Serve(PathBuf),
+    CacheStats(Option<PathBuf>),
+    Gate(&'static Gate),
+    Client {
+        sock: PathBuf,
+        id: String,
+    },
+    Sweep(SweepSpec),
+    /// A registry id or `all`, run in-process.
+    Experiment(String),
+}
+
+impl Mode {
+    /// How an error names this mode.
+    fn name(&self) -> &str {
+        match self {
+            Mode::Usage => "usage",
+            Mode::Trace { .. } => "--trace-events",
+            Mode::Profile(_) => "--profile",
+            Mode::Serve(_) => "serve",
+            Mode::CacheStats(_) => "cache-stats",
+            Mode::Gate(gate) => gate.id,
+            Mode::Client { .. } => "--server",
+            Mode::Sweep(_) => "a local sweep",
+            Mode::Experiment(_) => "a local run",
+        }
+    }
+
+    /// Whether this mode reads `flag`. Only the flags that belong to one
+    /// mode can be stray; the rest apply to every run.
+    fn reads(&self, flag: &str) -> bool {
+        matches!(self, Mode::Usage)
+            || match flag {
+                "--md" => matches!(self, Mode::Sweep(_) | Mode::Experiment(_)),
+                "--checkpoint" | "--points" => matches!(self, Mode::Sweep(_)),
+                "--workers" => matches!(self, Mode::Serve(_)),
+                "--server" | "--client" | "--priority" => matches!(self, Mode::Client { .. }),
+                "--profile" => matches!(self, Mode::Profile(_)),
+                _ => true,
+            }
+    }
+}
+
+/// One parsed command line. `main` applies `jobs` and `cache` to the
+/// process before it dispatches on `mode`.
+#[derive(Debug)]
+struct Cli {
+    jobs: Option<usize>,
+    cache: Option<CacheMode>,
+    eval: EvalConfig,
+    markdown: bool,
+    workers: Option<NonZeroUsize>,
+    client: Option<String>,
+    priority: Option<Priority>,
+    checkpoint: Option<PathBuf>,
+    points: Option<NonZeroUsize>,
+    mode: Mode,
+}
+
+/// Parses the value that follows `flag`.
+fn value<T, E: Display>(
+    flag: &str,
+    raw: Option<&String>,
+    parse: impl FnOnce(&str) -> Result<T, E>,
+) -> Result<T, ArgError> {
+    parse_arg(flag, raw.map(String::as_str), parse)?
+        .ok_or_else(|| ArgError::new(flag, "", "missing value"))
+}
+
+/// A path or name value: anything but the empty string.
+fn text(raw: &str) -> Result<String, &'static str> {
+    if raw.is_empty() {
+        Err("missing value")
+    } else {
+        Ok(raw.to_string())
+    }
+}
+
+/// Parses a command line (without the program name). Pure: reads no
+/// environment and changes nothing.
+fn parse_cli(args: &[String]) -> Result<Cli, ArgError> {
+    let mut cli = Cli {
+        jobs: None,
+        cache: None,
+        eval: EvalConfig::standard(),
+        markdown: false,
+        workers: None,
+        client: None,
+        priority: None,
+        checkpoint: None,
+        points: None,
+        mode: Mode::Usage,
+    };
+    let (mut trace_events, mut profile, mut server) = (None, false, None);
+    // Every flag given, with its raw value ("" for a switch).
+    let mut given: Vec<(&str, &str)> = Vec::new();
+    let mut at = 0;
+    while let Some(flag) = args.get(at).map(String::as_str) {
+        let raw = args.get(at + 1);
+        let takes_value = !matches!(flag, "--md" | "--profile" | "--no-cache");
+        match flag {
+            "--md" => cli.markdown = true,
+            "--profile" => profile = true,
+            "--no-cache" => cli.cache = Some(CacheMode::Off),
+            "--jobs" => cli.jobs = Some(value(flag, raw, runner::Runner::parse_jobs)?),
+            "--sample" => {
+                cli.eval.sample = Some(value(flag, raw, str::parse::<NonZeroUsize>)?.get())
+            }
+            "--fidelity" => cli.eval.fidelity = value(flag, raw, Fidelity::parse)?,
+            "--cache-dir" => cli.cache = Some(CacheMode::Disk(value(flag, raw, text)?.into())),
+            "--trace-events" => trace_events = Some(PathBuf::from(value(flag, raw, text)?)),
+            "--server" => server = Some(PathBuf::from(value(flag, raw, text)?)),
+            "--client" => cli.client = Some(value(flag, raw, text)?),
+            "--priority" => cli.priority = Some(value(flag, raw, Priority::parse)?),
+            "--workers" => cli.workers = Some(value(flag, raw, str::parse)?),
+            "--checkpoint" => cli.checkpoint = Some(value(flag, raw, text)?.into()),
+            "--points" => cli.points = Some(value(flag, raw, str::parse)?),
+            _ => break,
+        }
+        let shown = if takes_value { raw } else { None };
+        given.push((flag, shown.map_or("", String::as_str)));
+        at += 1 + usize::from(takes_value);
+    }
+    let positional = &args[at..];
+    let id = positional.first().map(String::as_str);
+    let workload = id.unwrap_or("tpcc_like");
+    let all = trace_events.is_some() && workload == "all";
+    if (trace_events.is_some() || profile) && !all && suite::by_name(workload).is_err() {
+        return Err(ArgError::new("workload", workload, "not a suite workload"));
+    }
+    cli.mode = if let Some(path) = trace_events {
+        Mode::Trace {
+            path,
+            workload: workload.to_string(),
+        }
+    } else if profile {
+        Mode::Profile(workload.to_string())
+    } else {
+        match id {
+            None => Mode::Usage,
+            Some("serve") => Mode::Serve(value("serve", positional.get(1), text)?.into()),
+            Some("cache-stats") => Mode::CacheStats(positional.get(1).map(PathBuf::from)),
+            Some(id) => match (GATES.iter().find(|g| g.id == id), server) {
+                (Some(gate), _) => Mode::Gate(gate),
+                (None, Some(sock)) => Mode::Client {
+                    sock,
+                    id: id.to_string(),
+                },
+                (None, None) => match sweep::by_request_id(id) {
+                    Some(spec) => Mode::Sweep(spec),
+                    None if id == "all" || experiments::all_ids().contains(&id) => {
+                        Mode::Experiment(id.to_string())
+                    }
+                    None => {
+                        return Err(ArgError::new(
+                            "id",
+                            id,
+                            "unknown experiment (run with no arguments for the list)",
+                        ))
+                    }
+                },
+            },
+        }
+    };
+    if let Some(&(flag, raw)) = given.iter().find(|(flag, _)| !cli.mode.reads(flag)) {
+        let reason = format!("{} does not read it", cli.mode.name());
+        return Err(ArgError::new(flag, raw, reason));
+    }
+    // `serve` and `cache-stats` take a path where the other ids take
+    // `[ops] [warmup]`.
+    let takes_path = matches!(cli.mode, Mode::Serve(_) | Mode::CacheStats(_));
+    if !takes_path {
+        let scale =
+            |i: usize, name| parse_arg(name, positional.get(i).map(String::as_str), str::parse);
+        cli.eval.ops = scale(1, "ops")?.unwrap_or(cli.eval.ops);
+        cli.eval.warmup = scale(2, "warmup")?.unwrap_or(cli.eval.warmup);
+    }
+    match positional.get(if takes_path { 2 } else { 3 }) {
+        Some(extra) => Err(ArgError::new("argument", extra, "nothing reads it")),
+        None => Ok(cli),
+    }
+}
+
+fn usage() -> ExitCode {
     eprintln!(
         "usage: run_experiment [--md] [--jobs N] [--sample I] \
          [--fidelity fast|lite|ooo] \
@@ -171,72 +386,145 @@ fn usage_and_exit() -> ! {
     eprintln!("  sweep | sweep:quick | sweep:paper (design-space grid; DESIGN.md §13)");
     eprintln!("  serve SOCK (start the simulation daemon; see DESIGN.md §12)");
     eprintln!("  cache-stats [DIR] (on-disk run-cache shard inventory)");
-    eprintln!("  sample-smoke (CI accuracy gate)");
-    eprintln!("  obs-smoke (CI observability-overhead gate)");
-    eprintln!("  cache-smoke (CI run-cache gate)");
-    eprintln!("  server-smoke (CI simulation-service gate)");
-    eprintln!("  sweep-smoke (CI sweep resumability gate)");
-    eprintln!("  ladder-smoke (CI fidelity-ladder accuracy gate)");
-    std::process::exit(2);
+    for gate in GATES {
+        eprintln!("  {} ({})", gate.id, gate.about);
+    }
+    ExitCode::from(2)
 }
 
-/// Daemon mode: bind the socket, serve until a protocol `shutdown`
-/// drains the pool, then exit 0.
-fn serve(sock: &Path, workers: Option<usize>) -> ! {
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut cli = parse_cli(&args).unwrap_or_else(|e| e.exit());
+    let seed = std::env::var(SEED_ENV).ok();
+    if let Some(seed) =
+        parse_arg(SEED_ENV, seed.as_deref(), str::parse).unwrap_or_else(|e| e.exit())
+    {
+        cli.eval.seed = seed;
+    }
+    if let Some(n) = cli.jobs {
+        // The experiment registry sizes its Runner from the environment,
+        // so the flag funnels through CATCH_JOBS.
+        std::env::set_var(runner::JOBS_ENV, n.to_string());
+    }
+    // Fail fast on a typo'd CATCH_JOBS before any simulation starts
+    // (suite runs would otherwise panic mid-experiment).
+    if let Err(e) = runner::Runner::from_env() {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
+    if let Some(mode) = cli.cache {
+        RunCache::global().set_mode(mode);
+    }
+    let eval = &cli.eval;
+    let done = match cli.mode {
+        Mode::Usage => return usage(),
+        Mode::Gate(gate) => return run_gate(gate, eval),
+        Mode::Trace { path, workload } => traced_run(&path, &workload, eval),
+        Mode::Profile(workload) => profile_run(&workload, eval),
+        Mode::Serve(sock) => serve(&sock, cli.workers),
+        Mode::CacheStats(dir) => cache_stats(dir.as_deref()),
+        Mode::Client { sock, id } => client_mode(&sock, &id, eval, cli.client, cli.priority),
+        Mode::Sweep(spec) => local_sweep(&spec, eval, cli.checkpoint, cli.points, cli.markdown),
+        Mode::Experiment(id) => local_run(&id, eval, cli.markdown),
+    };
+    done.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// Runs one gate and reports its verdict.
+fn run_gate(gate: &Gate, eval: &EvalConfig) -> ExitCode {
+    match (gate.run)(eval) {
+        Ok(summary) => {
+            println!("{} OK ({summary})", gate.id);
+            ExitCode::SUCCESS
+        }
+        Err(failures) => {
+            for failure in failures {
+                eprintln!("{} FAILED: {failure}", gate.id);
+            }
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// `summary` when `failures` is empty.
+fn verdict(failures: Vec<String>, summary: String) -> Verdict {
+    if failures.is_empty() {
+        Ok(summary)
+    } else {
+        Err(failures)
+    }
+}
+
+/// A one-failure verdict for an error of step `what`.
+fn failed<E: Display>(what: &'static str) -> impl FnOnce(E) -> Vec<String> {
+    move |e| vec![format!("{what}: {e}")]
+}
+
+/// Runs a registry id (or `all`) in-process and prints its reports.
+fn local_run(id: &str, eval: &EvalConfig, markdown: bool) -> Result<ExitCode, String> {
+    let reports = if id == "all" {
+        experiments::run_all(&experiments::all_ids(), eval, None)
+    } else {
+        vec![(id.to_string(), experiments::run(id, eval))]
+    };
+    for (_, report) in &reports {
+        if markdown {
+            println!("{}", report.to_markdown());
+        } else {
+            println!("{report}");
+        }
+    }
+    eprintln!("{}", RunCache::global().summary());
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Daemon mode: bind the socket and serve until a protocol `shutdown`
+/// drains the pool.
+fn serve(sock: &Path, workers: Option<NonZeroUsize>) -> Result<ExitCode, String> {
     let mut config = ServerConfig::default();
     if let Some(w) = workers {
-        config.workers = w;
+        config.workers = w.get();
     }
-    let handle = match Server::bind(sock, config.clone()) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("cannot bind {}: {e}", sock.display());
-            std::process::exit(1);
-        }
-    };
+    let handle = Server::bind(sock, config.clone())
+        .map_err(|e| format!("cannot bind {}: {e}", sock.display()))?;
     eprintln!(
         "catch-server: listening on {} ({} workers, cache {:?})",
         sock.display(),
         config.workers,
         RunCache::global().mode()
     );
-    match handle.wait() {
-        Ok(()) => {
-            eprintln!("catch-server: drained, exiting");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("catch-server: shutdown error: {e}");
-            std::process::exit(1);
-        }
-    }
+    handle
+        .wait()
+        .map_err(|e| format!("catch-server: shutdown error: {e}"))?;
+    eprintln!("catch-server: drained, exiting");
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Client mode: run `id` (or `all`) on a daemon; prints the pre-rendered
 /// reports byte-identically to a local run, then a stats line to stderr.
-fn client_mode(sock: &Path, id: &str, eval: &EvalConfig, name: &str, priority: Priority) -> ! {
-    let mut client = match Client::connect(sock) {
-        Ok(c) => c.with_identity(name, priority),
-        Err(e) => {
-            eprintln!("cannot connect to {}: {e}", sock.display());
-            std::process::exit(1);
-        }
-    };
+fn client_mode(
+    sock: &Path,
+    id: &str,
+    eval: &EvalConfig,
+    name: Option<String>,
+    priority: Option<Priority>,
+) -> Result<ExitCode, String> {
+    let name = name.unwrap_or_else(|| format!("anon-{}", std::process::id()));
+    let mut client = Client::connect(sock)
+        .map_err(|e| format!("cannot connect to {}: {e}", sock.display()))?
+        .with_identity(&name, priority.unwrap_or(Priority::Interactive));
     // Daemon-control ids (no local equivalent).
     match id {
         "ping" => {
-            client.ping().unwrap_or_else(|e| {
-                eprintln!("ping: {e}");
-                std::process::exit(1);
-            });
+            client.ping().map_err(|e| format!("ping: {e}"))?;
             println!("pong");
-            std::process::exit(0);
+            return Ok(ExitCode::SUCCESS);
         }
         "stats" => {
-            let (sched, cache, shards) = client.stats().unwrap_or_else(|e| {
-                eprintln!("stats: {e}");
-                std::process::exit(1);
-            });
+            let (sched, cache, shards) = client.stats().map_err(|e| format!("stats: {e}"))?;
             println!(
                 "queue {} deep, {} running; {} admitted / {} coalesced / \
                  {} rejected / {} completed",
@@ -255,31 +543,23 @@ fn client_mode(sock: &Path, id: &str, eval: &EvalConfig, name: &str, priority: P
                 "disk: {} shards, {} B, oldest {}s, newest {}s",
                 shards.entries, shards.bytes, shards.oldest_secs, shards.newest_secs
             );
-            std::process::exit(0);
+            return Ok(ExitCode::SUCCESS);
         }
         "shutdown" => {
-            client.shutdown().unwrap_or_else(|e| {
-                eprintln!("shutdown: {e}");
-                std::process::exit(1);
-            });
+            client.shutdown().map_err(|e| format!("shutdown: {e}"))?;
             println!("server draining");
-            std::process::exit(0);
+            return Ok(ExitCode::SUCCESS);
         }
         _ => {}
     }
-    let ids: Vec<&str> = if id == "all" {
-        experiments::all_ids().to_vec()
+    let ids = if id == "all" {
+        experiments::all_ids()
     } else {
         vec![id]
     };
     for id in ids {
-        match client.run(id, eval) {
-            Ok(report) => println!("{report}"),
-            Err(e) => {
-                eprintln!("{id}: {e}");
-                std::process::exit(1);
-            }
-        }
+        let report = client.run(id, eval).map_err(|e| format!("{id}: {e}"))?;
+        println!("{report}");
     }
     if let Ok((sched, cache, _)) = client.stats() {
         eprintln!(
@@ -287,12 +567,12 @@ fn client_mode(sock: &Path, id: &str, eval: &EvalConfig, name: &str, priority: P
             sched.admitted, sched.coalesced, sched.completed
         );
     }
-    std::process::exit(0);
+    Ok(ExitCode::SUCCESS)
 }
 
 /// Shard inventory for the on-disk run cache: `dir` overrides the mode
 /// from `--cache-dir` / `CATCH_RUN_CACHE`.
-fn cache_stats(dir: Option<&Path>) -> ! {
+fn cache_stats(dir: Option<&Path>) -> Result<ExitCode, String> {
     let dir = match (dir, RunCache::global().mode()) {
         (Some(d), _) => d.to_path_buf(),
         (None, CacheMode::Disk(d)) => d,
@@ -302,33 +582,27 @@ fn cache_stats(dir: Option<&Path>) -> ! {
                  pass a path, --cache-dir DIR, or set {}",
                 catch_core::RUN_CACHE_ENV
             );
-            std::process::exit(2);
+            return Ok(ExitCode::from(2));
         }
     };
-    match cachedao::scan(&dir) {
-        Ok(stats) => {
-            println!(
-                "cache-stats: {} — {} shards, {} B, oldest {}s, newest {}s",
-                dir.display(),
-                stats.entries,
-                stats.bytes,
-                stats.oldest_secs,
-                stats.newest_secs
-            );
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("cache-stats: cannot scan {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
+    let stats = cachedao::scan(&dir)
+        .map_err(|e| format!("cache-stats: cannot scan {}: {e}", dir.display()))?;
+    println!(
+        "cache-stats: {} — {} shards, {} B, oldest {}s, newest {}s",
+        dir.display(),
+        stats.entries,
+        stats.bytes,
+        stats.oldest_secs,
+        stats.newest_secs
+    );
+    Ok(ExitCode::SUCCESS)
 }
 
 /// The CI simulation-service gate: an in-process daemon on a temp
-/// socket, the same experiment from two clients, hard-fail unless both
+/// socket, the same experiment from two clients; fails unless both
 /// responses are byte-identical to a local run, the second triggered
 /// zero recomputation, and shutdown is clean.
-fn server_smoke(eval: &EvalConfig) -> ! {
+fn server_smoke(eval: &EvalConfig) -> Verdict {
     const ID: &str = "fig10";
     let tag = std::process::id();
     let sock = std::env::temp_dir().join(format!("catch-server-smoke-{tag}.sock"));
@@ -337,36 +611,28 @@ fn server_smoke(eval: &EvalConfig) -> ! {
         let _ = std::fs::remove_dir_all(&dir);
         RunCache::global().set_mode(CacheMode::Disk(dir));
     }
-    let handle = Server::bind(&sock, ServerConfig::default()).unwrap_or_else(|e| {
-        eprintln!("server-smoke FAILED: cannot bind {}: {e}", sock.display());
-        std::process::exit(1);
-    });
+    let handle = Server::bind(&sock, ServerConfig::default()).map_err(failed("bind"))?;
     let connect = |name: &str, priority| {
         Client::connect(&sock)
-            .unwrap_or_else(|e| {
-                eprintln!("server-smoke FAILED: connect: {e}");
-                std::process::exit(1);
-            })
-            .with_identity(name, priority)
+            .map(|c| c.with_identity(name, priority))
+            .map_err(failed("connect"))
     };
-    let mut alice = connect("alice", Priority::Interactive);
-    let mut bob = connect("bob", Priority::Sweep);
+    let mut alice = connect("alice", Priority::Interactive)?;
+    let mut bob = connect("bob", Priority::Sweep)?;
 
     let t = Instant::now();
-    let first = alice.run(ID, eval).unwrap_or_else(|e| {
-        eprintln!("server-smoke FAILED: first run: {e}");
-        std::process::exit(1);
-    });
+    let first = alice.run(ID, eval).map_err(failed("first run"))?;
     let cold_secs = t.elapsed().as_secs_f64();
-    let misses_cold = alice.stats().expect("stats after first run").1.misses;
+    let misses_cold = alice
+        .stats()
+        .map_err(failed("stats after first run"))?
+        .1
+        .misses;
 
     let t = Instant::now();
-    let second = bob.run(ID, eval).unwrap_or_else(|e| {
-        eprintln!("server-smoke FAILED: second run: {e}");
-        std::process::exit(1);
-    });
+    let second = bob.run(ID, eval).map_err(failed("second run"))?;
     let warm_secs = t.elapsed().as_secs_f64();
-    let (sched, cache, shards) = bob.stats().expect("stats after second run");
+    let (sched, cache, shards) = bob.stats().map_err(failed("stats after second run"))?;
 
     println!(
         "server-smoke: {ID} ops={} cold {:.1} ms, warm {:.1} ms; \
@@ -379,48 +645,39 @@ fn server_smoke(eval: &EvalConfig) -> ! {
         sched.completed,
         shards.entries,
     );
+    let mut failures = Vec::new();
     if first != second {
-        eprintln!("server-smoke FAILED: the two clients got different report bytes");
-        std::process::exit(1);
+        failures.push("the two clients got different report bytes".to_string());
     }
     if cache.misses != misses_cold {
-        eprintln!(
-            "server-smoke FAILED: second response recomputed \
-             ({} misses cold, {} after warm)",
+        failures.push(format!(
+            "second response recomputed ({} misses cold, {} after warm)",
             misses_cold, cache.misses
-        );
-        std::process::exit(1);
+        ));
     }
-    let local = experiments::run(ID, eval).to_string();
-    if local != first {
-        eprintln!("server-smoke FAILED: served report differs from a local run");
-        std::process::exit(1);
+    if experiments::run(ID, eval).to_string() != first {
+        failures.push("served report differs from a local run".to_string());
     }
-    alice.shutdown().unwrap_or_else(|e| {
-        eprintln!("server-smoke FAILED: shutdown request: {e}");
-        std::process::exit(1);
-    });
-    if let Err(e) = handle.wait() {
-        eprintln!("server-smoke FAILED: drain: {e}");
-        std::process::exit(1);
-    }
+    alice.shutdown().map_err(failed("shutdown request"))?;
+    handle.wait().map_err(failed("drain"))?;
     if sock.exists() {
-        eprintln!("server-smoke FAILED: socket not unlinked on exit");
-        std::process::exit(1);
+        failures.push("socket not unlinked on exit".to_string());
     }
-    println!("server-smoke OK (byte-identical, zero recompute, clean drain)");
-    std::process::exit(0);
+    verdict(
+        failures,
+        "byte-identical, zero recompute, clean drain".to_string(),
+    )
 }
 
 /// The CI run-cache gate: the whole registry twice against a persistent
-/// cache directory, hard-fail unless the warm pass is ≥ `MIN_SPEEDUP`×
+/// cache directory; fails unless the warm pass is ≥ `MIN_SPEEDUP`×
 /// faster with byte-identical reports and was served from the disk
 /// entries alone (a pass that quietly recomputes can still be fast and
 /// byte-identical at a small scale). It also gates the trace lifetime:
 /// the cold pass's one `run_all` call builds each suite workload's trace
 /// exactly once (fewer on a directory that was already filled), and the
 /// warm pass, which simulates nothing, builds none.
-fn cache_smoke(eval: &EvalConfig) -> ! {
+fn cache_smoke(eval: &EvalConfig) -> Verdict {
     const MIN_SPEEDUP: f64 = 2.0;
     let cache = RunCache::global();
     let dir = match cache.mode() {
@@ -501,19 +758,15 @@ fn cache_smoke(eval: &EvalConfig) -> ! {
             "warm pass loaded {loaded} entries, the cold pass left {touched}"
         ));
     }
-    if !failures.is_empty() {
-        for failure in &failures {
-            eprintln!("cache-smoke FAILED: {failure}");
-        }
-        std::process::exit(1);
-    }
-    println!("cache-smoke OK (byte-identical, ≥{MIN_SPEEDUP}x, zero recomputed, zero warnings)");
-    std::process::exit(0);
+    verdict(
+        failures,
+        format!("byte-identical, ≥{MIN_SPEEDUP}x, zero recomputed, zero warnings"),
+    )
 }
 
-/// The CI sampling gate: one golden workload, full vs sampled, hard-fail
+/// The CI sampling gate: one golden workload, full vs sampled; fails
 /// when the reported bound or the achieved IPC error reaches `LIMIT_PCT`.
-fn sample_smoke(eval: &EvalConfig) -> ! {
+fn sample_smoke(eval: &EvalConfig) -> Verdict {
     const WORKLOAD: &str = "tpcc_like";
     const LIMIT_PCT: f64 = 5.0;
     let interval = eval.sample.unwrap_or_else(|| (eval.ops / 20).max(1));
@@ -535,17 +788,15 @@ fn sample_smoke(eval: &EvalConfig) -> ! {
         100.0 * sampled.sampling.detailed_fraction()
     );
     if bound >= LIMIT_PCT || err >= LIMIT_PCT {
-        eprintln!("sample-smoke FAILED: error or bound at/over {LIMIT_PCT}%");
-        std::process::exit(1);
+        return Err(vec![format!("error or bound at/over {LIMIT_PCT}%")]);
     }
-    println!("sample-smoke OK (bound and error under {LIMIT_PCT}%)");
-    std::process::exit(0);
+    Ok(format!("bound and error under {LIMIT_PCT}%"))
 }
 
 /// The CI observability-overhead gate: observability off vs a sink
 /// attached with every class masked. Min-of-N wall-clock, interleaved so
-/// machine drift hits both variants alike; hard-fail at `LIMIT_PCT`.
-fn obs_smoke(eval: &EvalConfig) -> ! {
+/// machine drift hits both variants alike; fails at `LIMIT_PCT`.
+fn obs_smoke(eval: &EvalConfig) -> Verdict {
     const WORKLOAD: &str = "tpcc_like";
     const LIMIT_PCT: f64 = 2.0;
     // Wall-clock noise on a busy host easily exceeds the 2% budget for
@@ -561,12 +812,11 @@ fn obs_smoke(eval: &EvalConfig) -> ! {
     let masked = Obs::attached(Arc::new(Mutex::new(NullSink)), EventClass::NONE);
 
     // Parity first: a masked sink must not perturb a single counter.
-    let off_run = system.run_st(trace.clone());
-    let masked_run = system.run_st_obs(trace.clone(), &masked);
-    assert_eq!(
-        off_run.core, masked_run.core,
-        "masked observability changed core statistics"
-    );
+    if system.run_st(trace.clone()).core != system.run_st_obs(trace.clone(), &masked).core {
+        return Err(vec![
+            "masked observability changed core statistics".to_string()
+        ]);
+    }
 
     let mut best_off = f64::INFINITY;
     let mut best_masked = f64::INFINITY;
@@ -599,188 +849,43 @@ fn obs_smoke(eval: &EvalConfig) -> ! {
         1e3 * best_masked,
     );
     if overhead_pct >= LIMIT_PCT {
-        eprintln!("obs-smoke FAILED: masked-sink overhead at/over {LIMIT_PCT}%");
-        std::process::exit(1);
+        return Err(vec![format!("masked-sink overhead at/over {LIMIT_PCT}%")]);
     }
-    println!("obs-smoke OK (overhead under {LIMIT_PCT}%)");
-    std::process::exit(0);
-}
-
-/// Trace mode: simulate `workload` (or every golden workload) under the
-/// CATCH configuration on the `eval.fidelity` rung with all event
-/// classes enabled, exporting to
-/// `path` in the format chosen by its extension.
-fn traced_run(path: &Path, workload: &str, eval: &EvalConfig) -> ! {
-    let format = TraceFormat::from_path(path);
-    let system = System::new(SystemConfig::baseline_exclusive().with_catch());
-    if workload == "all" {
-        let pool = runner::Runner::from_env().unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
-        // Each job writes its own part file (one job's event order is
-        // deterministic; interleaving across jobs is not), merged in
-        // job-index order: identical bytes for every worker count.
-        let parts: Vec<PathBuf> = (0..GOLDEN_WORKLOADS.len())
-            .map(|i| part_path(path, i))
-            .collect();
-        let ipcs = pool.run(&GOLDEN_WORKLOADS, |i, name| {
-            let trace = suite::by_name(name)
-                .expect("golden workload exists")
-                .generate(eval.ops, eval.seed);
-            let part = part_path(path, i);
-            let obs = match format {
-                TraceFormat::Chrome => Obs::attached(
-                    Arc::new(Mutex::new(
-                        ChromeTraceSink::create_fragment(&part).expect("create trace part file"),
-                    )),
-                    EventClass::ALL,
-                ),
-                TraceFormat::Jsonl => Obs::attached(
-                    Arc::new(Mutex::new(
-                        JsonlSink::create(&part).expect("create trace part file"),
-                    )),
-                    EventClass::ALL,
-                ),
-            };
-            let result = system.run(trace, eval.fidelity, eval.warmup, &obs);
-            obs.finish().expect("flush trace part file");
-            result.ipc()
-        });
-        let events = merge_parts(&parts, path, format).expect("merge trace part files");
-        for (name, ipc) in GOLDEN_WORKLOADS.iter().zip(&ipcs) {
-            println!("trace-events: {name} IPC {ipc:.4}");
-        }
-        println!(
-            "trace-events: {} workloads, {events} events -> {} ({format:?})",
-            GOLDEN_WORKLOADS.len(),
-            path.display()
-        );
-    } else {
-        let trace = match suite::by_name(workload) {
-            Ok(spec) => spec.generate(eval.ops, eval.seed),
-            Err(_) => {
-                eprintln!("unknown workload '{workload}' (or 'all'); see tab2 for the suite");
-                std::process::exit(2);
-            }
-        };
-        let (result, events) = match format {
-            TraceFormat::Chrome => {
-                let sink = Arc::new(Mutex::new(
-                    ChromeTraceSink::create(path).expect("create trace file"),
-                ));
-                let obs = Obs::attached(sink.clone(), EventClass::ALL);
-                let result = system.run(trace, eval.fidelity, eval.warmup, &obs);
-                obs.finish().expect("flush trace file");
-                let events = sink.lock().expect("sink lock").events();
-                (result, events)
-            }
-            TraceFormat::Jsonl => {
-                let sink = Arc::new(Mutex::new(
-                    JsonlSink::create(path).expect("create trace file"),
-                ));
-                let obs = Obs::attached(sink.clone(), EventClass::ALL);
-                let result = system.run(trace, eval.fidelity, eval.warmup, &obs);
-                obs.finish().expect("flush trace file");
-                let events = sink.lock().expect("sink lock").events();
-                (result, events)
-            }
-        };
-        println!(
-            "trace-events: {workload} ops={} IPC {:.4}, {events} events -> {} ({format:?})",
-            eval.ops,
-            result.ipc(),
-            path.display()
-        );
-    }
-    std::process::exit(0);
-}
-
-/// Local sweep mode: run (or resume) a design-space grid through the
-/// sweep engine and print its Pareto report.
-fn local_sweep(
-    spec: &catch_core::sweep::SweepSpec,
-    eval: &EvalConfig,
-    checkpoint: Option<PathBuf>,
-    points: Option<usize>,
-    markdown: bool,
-) -> ! {
-    let opts = catch_core::sweep::SweepOptions {
-        jobs: None,
-        checkpoint,
-        limit: points,
-        spot_stride: None,
-    };
-    match catch_core::sweep::run_sweep(spec, eval, &opts) {
-        Ok(outcome) => {
-            if markdown {
-                print!("{}", outcome.report.to_markdown());
-            } else {
-                print!("{}", outcome.report);
-            }
-            eprintln!(
-                "sweep: {} points ({} computed, {} resumed, {} pending, {} degenerate, \
-                 {} ooo-validated)",
-                outcome.total,
-                outcome.computed,
-                outcome.resumed,
-                outcome.remaining,
-                outcome.degenerate,
-                outcome.validated
-            );
-            eprintln!("{}", RunCache::global().summary());
-            std::process::exit(if outcome.remaining > 0 { 3 } else { 0 });
-        }
-        Err(e) => {
-            eprintln!("sweep: {e}");
-            std::process::exit(1);
-        }
-    }
+    Ok(format!("overhead under {LIMIT_PCT}%"))
 }
 
 /// The CI sweep-resumability gate: the quick grid against one checkpoint
 /// journal, interrupted after a 3-point budget, then completed, then
-/// fully resumed after dropping the in-memory cache. Hard-fail unless
-/// the resumed pass recomputes nothing (zero run-cache misses) and its
+/// fully resumed after dropping the in-memory cache. Fails unless the
+/// resumed pass recomputes nothing (zero run-cache misses) and its
 /// report is byte-identical to the completed run's.
-fn sweep_smoke(eval: &EvalConfig) -> ! {
-    use catch_core::sweep::{run_sweep, SweepOptions, SweepSpec};
+fn sweep_smoke(eval: &EvalConfig) -> Verdict {
     const INTERRUPT_AFTER: usize = 3;
     let dir = std::env::temp_dir().join(format!("catch-sweep-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let spec = SweepSpec::quick();
     let opts = SweepOptions {
-        jobs: None,
         checkpoint: Some(dir.join("sweep.journal")),
-        limit: None,
-        spot_stride: None,
+        ..SweepOptions::default()
     };
     let cache = RunCache::global();
-    let run = |opts: &SweepOptions, what: &str| {
-        run_sweep(&spec, eval, opts).unwrap_or_else(|e| {
-            eprintln!("sweep-smoke FAILED: {what}: {e}");
-            std::process::exit(1);
-        })
-    };
 
     // Pass 1: "killed" after a 3-point budget (the journal keeps them).
     let t = Instant::now();
-    let partial = run(
-        &SweepOptions {
-            limit: Some(INTERRUPT_AFTER),
-            ..opts.clone()
-        },
-        "interrupted pass",
-    );
+    let interrupted = SweepOptions {
+        limit: Some(INTERRUPT_AFTER),
+        ..opts.clone()
+    };
+    let partial = run_sweep(&spec, eval, &interrupted).map_err(failed("interrupted pass"))?;
     // Pass 2: finish the grid from the journal.
-    let finished = run(&opts, "completing pass");
+    let finished = run_sweep(&spec, eval, &opts).map_err(failed("completing pass"))?;
     let cold_secs = t.elapsed().as_secs_f64();
     let misses_cold = cache.summary().misses;
 
     // Pass 3: drop the in-memory cache; the journal alone must carry it.
     cache.reset_memory();
     let t = Instant::now();
-    let resumed = run(&opts, "resumed pass");
+    let resumed = run_sweep(&spec, eval, &opts).map_err(failed("resumed pass"))?;
     let warm_secs = t.elapsed().as_secs_f64();
     let miss_delta = cache.summary().misses - misses_cold;
 
@@ -794,34 +899,37 @@ fn sweep_smoke(eval: &EvalConfig) -> ! {
         1e3 * cold_secs,
         1e3 * warm_secs,
     );
+    let mut failures = Vec::new();
     if partial.computed != INTERRUPT_AFTER || partial.remaining == 0 {
-        eprintln!("sweep-smoke FAILED: the interrupted pass did not stop mid-grid");
-        std::process::exit(1);
+        failures.push("the interrupted pass did not stop mid-grid".to_string());
     }
     if resumed.computed != 0 || resumed.resumed != resumed.total {
-        eprintln!(
-            "sweep-smoke FAILED: resume recomputed {} points instead of journaling all {}",
+        failures.push(format!(
+            "resume recomputed {} points instead of journaling all {}",
             resumed.computed, resumed.total
-        );
-        std::process::exit(1);
+        ));
     }
     if miss_delta != 0 {
-        eprintln!("sweep-smoke FAILED: resume simulated {miss_delta} runs (expected zero)");
-        std::process::exit(1);
+        failures.push(format!(
+            "resume simulated {miss_delta} runs (expected zero)"
+        ));
     }
     if finished.report.to_string() != resumed.report.to_string() {
-        eprintln!("sweep-smoke FAILED: resumed report differs from the completed run's bytes");
-        std::process::exit(1);
+        failures.push("resumed report differs from the completed run's bytes".to_string());
     }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!("sweep-smoke OK (resume: zero recompute, byte-identical report)");
-    std::process::exit(0);
+    if failures.is_empty() {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    verdict(
+        failures,
+        "resume: zero recompute, byte-identical report".to_string(),
+    )
 }
 
 /// The CI fidelity-ladder gate: every golden workload on all three
-/// rungs, hard-fail when a timing-lite error vs the OOO reference
-/// exceeds its budget (see `experiments::ladder`).
-fn ladder_smoke(eval: &EvalConfig) -> ! {
+/// rungs; fails when a timing-lite error vs the OOO reference exceeds
+/// its budget (see `experiments::ladder`).
+fn ladder_smoke(eval: &EvalConfig) -> Verdict {
     use catch_core::experiments::{
         ladder_errors, LITE_IPC_ERR_BUDGET_PCT, LITE_MPKI_ERR_BUDGET_PCT,
     };
@@ -841,15 +949,123 @@ fn ladder_smoke(eval: &EvalConfig) -> ! {
         errors.lite.len(),
         eval.ops
     );
-    let violations = errors.violations();
-    if !violations.is_empty() {
-        for v in &violations {
-            eprintln!("ladder-smoke FAILED: {v}");
+    verdict(
+        errors.violations(),
+        "timing-lite within every error budget".to_string(),
+    )
+}
+
+/// Trace mode: simulate `workload` (or every golden workload) under the
+/// CATCH configuration on the `eval.fidelity` rung with all event
+/// classes enabled, exporting to `path` in the format chosen by its
+/// extension.
+fn traced_run(path: &Path, workload: &str, eval: &EvalConfig) -> Result<ExitCode, String> {
+    let format = TraceFormat::from_path(path);
+    let system = System::new(SystemConfig::baseline_exclusive().with_catch());
+    let workloads = if workload == "all" {
+        GOLDEN_WORKLOADS.to_vec()
+    } else {
+        vec![workload]
+    };
+    let pool = runner::Runner::from_env()?;
+    // One workload writes `path` directly. Several write one part file
+    // each (one job's event order is deterministic; interleaving across
+    // jobs is not), merged in job-index order: identical bytes for every
+    // worker count, and the same bytes one sink writing `path` would.
+    let single = workloads.len() == 1;
+    let files: Vec<PathBuf> = if single {
+        vec![path.to_path_buf()]
+    } else {
+        (0..workloads.len()).map(|i| part_path(path, i)).collect()
+    };
+    let runs = pool.run(&workloads, |i, name| {
+        let trace = suite::by_name(name)
+            .expect("workload checked by parse_cli")
+            .generate(eval.ops, eval.seed);
+        let file = &files[i];
+        let run = |obs: &Obs| system.run(trace, eval.fidelity, eval.warmup, obs).ipc();
+        match format {
+            TraceFormat::Chrome if single => {
+                traced(ChromeTraceSink::create(file), ChromeTraceSink::events, run)
+            }
+            TraceFormat::Chrome => traced(
+                ChromeTraceSink::create_fragment(file),
+                ChromeTraceSink::events,
+                run,
+            ),
+            TraceFormat::Jsonl => traced(JsonlSink::create(file), JsonlSink::events, run),
         }
-        std::process::exit(1);
+    });
+    if !single {
+        merge_parts(&files, path, format).map_err(|e| format!("merge trace parts: {e}"))?;
     }
-    println!("ladder-smoke OK (timing-lite within every error budget)");
-    std::process::exit(0);
+    let events: u64 = runs.iter().map(|&(_, events)| events).sum();
+    if let [(ipc, _)] = runs[..] {
+        println!(
+            "trace-events: {workload} ops={} IPC {ipc:.4}, {events} events -> {} ({format:?})",
+            eval.ops,
+            path.display()
+        );
+    } else {
+        for (name, (ipc, _)) in workloads.iter().zip(&runs) {
+            println!("trace-events: {name} IPC {ipc:.4}");
+        }
+        println!(
+            "trace-events: {} workloads, {events} events -> {} ({format:?})",
+            workloads.len(),
+            path.display()
+        );
+    }
+    Ok(ExitCode::SUCCESS)
+}
+
+/// Runs `run` with every event written to `sink`; returns its IPC and
+/// the sink's `events` count.
+fn traced<S: EventSink + Send + 'static>(
+    sink: io::Result<S>,
+    events: fn(&S) -> u64,
+    run: impl FnOnce(&Obs) -> f64,
+) -> (f64, u64) {
+    let sink = Arc::new(Mutex::new(sink.expect("create trace file")));
+    let obs = Obs::attached(Arc::clone(&sink), EventClass::ALL);
+    let ipc = run(&obs);
+    obs.finish().expect("flush trace file");
+    let events = events(&sink.lock().expect("trace sink lock"));
+    (ipc, events)
+}
+
+/// Local sweep mode: run (or resume) a design-space grid through the
+/// sweep engine and print its Pareto report.
+fn local_sweep(
+    spec: &SweepSpec,
+    eval: &EvalConfig,
+    checkpoint: Option<PathBuf>,
+    points: Option<NonZeroUsize>,
+    markdown: bool,
+) -> Result<ExitCode, String> {
+    let opts = SweepOptions {
+        jobs: None,
+        checkpoint,
+        limit: points.map(NonZeroUsize::get),
+    };
+    let outcome = run_sweep(spec, eval, &opts).map_err(|e| format!("sweep: {e}"))?;
+    if markdown {
+        print!("{}", outcome.report.to_markdown());
+    } else {
+        print!("{}", outcome.report);
+    }
+    eprintln!(
+        "sweep: {} points ({} computed, {} resumed, {} pending, {} degenerate, \
+         {} ooo-validated)",
+        outcome.total,
+        outcome.computed,
+        outcome.resumed,
+        outcome.remaining,
+        outcome.degenerate,
+        outcome.validated
+    );
+    eprintln!("{}", RunCache::global().summary());
+    Ok(ExitCode::from(if outcome.remaining > 0 { 3 } else { 0 }))
 }
 
 fn occ_line(name: &str, h: &OccupancyHist) -> String {
@@ -864,14 +1080,10 @@ fn occ_line(name: &str, h: &OccupancyHist) -> String {
 /// Profile mode: one workload on the `eval.fidelity` rung with a
 /// counting sink — prints the event taxonomy histogram and the core's
 /// sampled occupancy summaries.
-fn profile_run(workload: &str, eval: &EvalConfig) -> ! {
-    let trace = match suite::by_name(workload) {
-        Ok(spec) => spec.generate(eval.ops, eval.seed),
-        Err(_) => {
-            eprintln!("unknown workload '{workload}'; see tab2 for the suite");
-            std::process::exit(2);
-        }
-    };
+fn profile_run(workload: &str, eval: &EvalConfig) -> Result<ExitCode, String> {
+    let trace = suite::by_name(workload)
+        .expect("workload checked by parse_cli")
+        .generate(eval.ops, eval.seed);
     let system = System::new(SystemConfig::baseline_exclusive().with_catch());
     let sink = Arc::new(Mutex::new(CountingSink::new()));
     let obs = Obs::attached(sink.clone(), EventClass::ALL);
@@ -896,265 +1108,214 @@ fn profile_run(workload: &str, eval: &EvalConfig) -> ! {
     println!("{}", occ_line("rob", &result.core.rob_occ));
     println!("{}", occ_line("sched", &result.core.sched_occ));
     println!("{}", occ_line("mshr", &result.core.mshr_occ));
-    std::process::exit(0);
+    Ok(ExitCode::SUCCESS)
 }
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut markdown = false;
-    let mut sample: Option<usize> = None;
-    let mut trace_events: Option<PathBuf> = None;
-    let mut profile = false;
-    let mut server_sock: Option<PathBuf> = None;
-    let mut client_name: Option<String> = None;
-    let mut priority = Priority::Interactive;
-    let mut workers: Option<usize> = None;
-    let mut checkpoint: Option<PathBuf> = None;
-    let mut points: Option<usize> = None;
-    let mut fidelity: Option<Fidelity> = None;
-    // Flags may appear in any order ahead of the positional arguments.
-    loop {
-        match args.first().map(String::as_str) {
-            Some("--md") => {
-                markdown = true;
-                args.remove(0);
-            }
-            Some("--jobs") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--jobs requires a value");
-                    usage_and_exit();
-                };
-                let n = runner::Runner::parse_jobs(raw).unwrap_or_else(|e| {
-                    eprintln!("invalid --jobs: {e}");
-                    usage_and_exit();
-                });
-                args.remove(0);
-                // The experiment registry sizes its Runner from the
-                // environment, so the flag funnels through CATCH_JOBS.
-                std::env::set_var(runner::JOBS_ENV, n.to_string());
-            }
-            Some("--sample") => {
-                args.remove(0);
-                let Some(i) = args
-                    .first()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&i| i > 0)
-                else {
-                    eprintln!("--sample requires a positive interval size in micro-ops");
-                    usage_and_exit();
-                };
-                args.remove(0);
-                sample = Some(i);
-            }
-            Some("--trace-events") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--trace-events requires an output path");
-                    usage_and_exit();
-                };
-                trace_events = Some(PathBuf::from(raw));
-                args.remove(0);
-            }
-            Some("--profile") => {
-                profile = true;
-                args.remove(0);
-            }
-            Some("--cache-dir") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--cache-dir requires a directory path");
-                    usage_and_exit();
-                };
-                RunCache::global().set_mode(CacheMode::Disk(PathBuf::from(raw)));
-                args.remove(0);
-            }
-            Some("--no-cache") => {
-                RunCache::global().set_mode(CacheMode::Off);
-                args.remove(0);
-            }
-            Some("--server") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--server requires a socket path");
-                    usage_and_exit();
-                };
-                server_sock = Some(PathBuf::from(raw));
-                args.remove(0);
-            }
-            Some("--client") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--client requires a name");
-                    usage_and_exit();
-                };
-                client_name = Some(raw.clone());
-                args.remove(0);
-            }
-            Some("--priority") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--priority requires interactive|sweep|background");
-                    usage_and_exit();
-                };
-                priority = Priority::parse(raw).unwrap_or_else(|e| {
-                    eprintln!("invalid --priority: {e}");
-                    usage_and_exit();
-                });
-                args.remove(0);
-            }
-            Some("--workers") => {
-                args.remove(0);
-                let Some(n) = args
-                    .first()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--workers requires a positive thread count");
-                    usage_and_exit();
-                };
-                workers = Some(n);
-                args.remove(0);
-            }
-            Some("--fidelity") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--fidelity requires 'fast', 'lite' or 'ooo'");
-                    usage_and_exit();
-                };
-                fidelity = Some(Fidelity::parse(raw).unwrap_or_else(|e| {
-                    eprintln!("invalid --fidelity: {e}");
-                    usage_and_exit();
-                }));
-                args.remove(0);
-            }
-            Some("--checkpoint") => {
-                args.remove(0);
-                let Some(raw) = args.first() else {
-                    eprintln!("--checkpoint requires a journal path");
-                    usage_and_exit();
-                };
-                checkpoint = Some(PathBuf::from(raw));
-                args.remove(0);
-            }
-            Some("--points") => {
-                args.remove(0);
-                let Some(n) = args
-                    .first()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&n| n > 0)
-                else {
-                    eprintln!("--points requires a positive point count");
-                    usage_and_exit();
-                };
-                points = Some(n);
-                args.remove(0);
-            }
-            _ => break,
-        }
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::BTreeSet;
+
+    fn parse(line: &str) -> Result<Cli, ArgError> {
+        let args: Vec<String> = line.split_whitespace().map(String::from).collect();
+        parse_cli(&args)
     }
-    // Fail fast on a typo'd CATCH_JOBS before any simulation starts
-    // (suite runs would otherwise panic mid-experiment).
-    if let Err(e) = runner::Runner::from_env() {
-        eprintln!("{e}");
-        std::process::exit(2);
-    }
-    let mut eval = EvalConfig::standard();
-    eval.sample = sample;
-    if let Some(f) = fidelity {
-        eval.fidelity = f;
-    }
-    // `serve` and `cache-stats` take a path where the other ids take
-    // `[ops] [warmup]`.
-    if !matches!(
-        args.first().map(String::as_str),
-        Some("serve" | "cache-stats")
-    ) {
-        let scale = |i: usize, name: &str| {
-            parse_arg(name, args.get(i).map(String::as_str), str::parse)
-                .unwrap_or_else(|e| e.exit())
-        };
-        if let Some(ops) = scale(1, "ops") {
-            eval.ops = ops;
-        }
-        if let Some(warmup) = scale(2, "warmup") {
-            eval.warmup = warmup;
-        }
-    }
-    if let Some(path) = trace_events {
-        let workload = args.first().map(String::as_str).unwrap_or("tpcc_like");
-        traced_run(&path, workload, &eval);
-    }
-    if profile {
-        let workload = args.first().map(String::as_str).unwrap_or("tpcc_like");
-        profile_run(workload, &eval);
-    }
-    let Some(id) = args.first().cloned() else {
-        usage_and_exit();
-    };
-    if id == "serve" {
-        let Some(sock) = args.get(1).map(PathBuf::from) else {
-            eprintln!("serve requires a socket path");
-            usage_and_exit();
-        };
-        serve(&sock, workers);
-    }
-    if id == "cache-stats" {
-        cache_stats(args.get(1).map(Path::new));
-    }
-    if id == "server-smoke" {
-        server_smoke(&eval);
-    }
-    if let Some(sock) = server_sock {
-        if markdown {
-            eprintln!("--md is not supported with --server (reports arrive pre-rendered)");
-            std::process::exit(2);
-        }
-        let name = client_name.unwrap_or_else(|| format!("anon-{}", std::process::id()));
-        client_mode(&sock, &id, &eval, &name, priority);
-    }
-    if id == "sample-smoke" {
-        sample_smoke(&eval);
-    }
-    if id == "obs-smoke" {
-        obs_smoke(&eval);
-    }
-    if id == "cache-smoke" {
-        cache_smoke(&eval);
-    }
-    if id == "sweep-smoke" {
-        sweep_smoke(&eval);
-    }
-    if id == "ladder-smoke" {
-        ladder_smoke(&eval);
-    }
-    if let Some(spec) = catch_core::sweep::by_request_id(&id) {
-        local_sweep(&spec, &eval, checkpoint, points, markdown);
-    }
-    if id == "all" {
-        let reports = experiments::run_all(&experiments::all_ids(), &eval, None);
-        for (_, report) in &reports {
-            if markdown {
-                println!("{}", report.to_markdown());
-            } else {
-                println!("{report}");
+
+    /// The argument lists of every `run_experiment -- …` command line in
+    /// `text`. `\` continuations, and a YAML fold after a trailing `--`,
+    /// are joined; a shell tail (`#`, `&`, `|`, `>`, `;`, a closing
+    /// backtick) is cut; lines that hold `$(` are skipped.
+    fn command_lines(text: &str) -> Vec<Vec<String>> {
+        const MARK: &str = "run_experiment --";
+        let mut lines = Vec::new();
+        let mut line = String::new();
+        for raw in text.lines().map(str::trim) {
+            line.push(' ');
+            match raw.strip_suffix('\\') {
+                Some(head) => line.push_str(head),
+                None if raw.ends_with(MARK) => line.push_str(raw),
+                None => {
+                    line.push_str(raw);
+                    lines.push(std::mem::take(&mut line));
+                }
             }
         }
-        eprintln!("{}", RunCache::global().summary());
-        return;
+        lines
+            .iter()
+            .filter(|line| !line.contains("$("))
+            .filter_map(|line| {
+                let (_, tail) = line.split_once(MARK)?;
+                if !tail.is_empty() && !tail.starts_with(char::is_whitespace) {
+                    return None; // `run_experiment --flag`: prose, not a command
+                }
+                let end = tail.find(|c| "#&|>;`".contains(c)).unwrap_or(tail.len());
+                Some(tail[..end].split_whitespace().map(String::from).collect())
+            })
+            .collect()
     }
-    if !experiments::all_ids().contains(&id.as_str()) {
-        eprintln!(
-            "unknown experiment '{id}'; available: {:?}",
-            experiments::all_ids()
+
+    #[test]
+    fn ci_runs_every_gate_and_every_smoke_id_it_runs_is_a_gate() {
+        let ci = include_str!("../.github/workflows/ci.yml");
+        let mut ran = BTreeSet::new();
+        for args in command_lines(ci) {
+            let cli = parse_cli(&args).unwrap_or_else(|e| panic!("ci.yml: {args:?}: {e}"));
+            match cli.mode {
+                Mode::Gate(gate) => {
+                    ran.insert(gate.id);
+                }
+                _ => assert!(
+                    !args.iter().any(|a| a.ends_with("-smoke")),
+                    "ci.yml runs a smoke id that is not in GATES: {args:?}"
+                ),
+            }
+        }
+        let gates: BTreeSet<_> = GATES.iter().map(|g| g.id).collect();
+        assert_eq!(gates.len(), GATES.len(), "duplicate gate id");
+        assert_eq!(ran, gates, "CI gate steps and GATES drifted apart");
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        let own_docs: String = include_str!("run_experiment.rs")
+            .lines()
+            .filter_map(|l| l.strip_prefix("//!"))
+            .collect::<Vec<_>>()
+            .join("\n");
+        let docs = [
+            ("README.md", include_str!("../README.md")),
+            ("EXPERIMENTS.md", include_str!("../EXPERIMENTS.md")),
+            ("DESIGN.md", include_str!("../DESIGN.md")),
+            (
+                "SKILL.md",
+                include_str!("../.claude/skills/verify/SKILL.md"),
+            ),
+            ("run_experiment.rs", own_docs.as_str()),
+        ];
+        let mut checked = 0;
+        for (doc, text) in docs {
+            for args in command_lines(text) {
+                if let Err(e) = parse_cli(&args) {
+                    panic!("{doc}: `run_experiment -- {}`: {e}", args.join(" "));
+                }
+                checked += 1;
+            }
+        }
+        assert!(
+            checked >= 30,
+            "found only {checked} documented command lines"
         );
-        std::process::exit(2);
     }
-    let report = experiments::run(&id, &eval);
-    if markdown {
-        println!("{}", report.to_markdown());
-    } else {
-        println!("{report}");
+
+    #[test]
+    fn command_lines_join_continuations_and_cut_shell_tails() {
+        let text = "cargo run --example run_experiment -- \\\n  --jobs 4 fig10 # note\n\
+                    run: cargo run --example run_experiment --\n  sweep-smoke 4000 1000\n\
+                    `run_experiment --fidelity lite --profile` is prose\n\
+                    cargo run --example run_experiment -- serve /tmp/s &\n\
+                    cargo run --example run_experiment -- cache-stats \"$(ls -d /tmp/c*)\"";
+        assert_eq!(
+            command_lines(text),
+            [
+                vec!["--jobs", "4", "fig10"],
+                vec!["sweep-smoke", "4000", "1000"],
+                vec!["serve", "/tmp/s"]
+            ]
+        );
     }
-    eprintln!("{}", RunCache::global().summary());
+
+    #[test]
+    fn flags_set_the_scale_and_each_mode_reads_its_own() {
+        let cli = parse("--sample 5000 --fidelity lite --jobs 3 fig1 4000 1000").unwrap();
+        assert!(matches!(cli.mode, Mode::Experiment(ref id) if id == "fig1"));
+        assert_eq!(cli.jobs, Some(3));
+        let want = EvalConfig {
+            ops: 4000,
+            warmup: 1000,
+            sample: Some(5000),
+            fidelity: Fidelity::Lite,
+            ..EvalConfig::standard()
+        };
+        assert_eq!(cli.eval, want);
+        let cli = parse("--cache-dir /tmp/c --no-cache --md all").unwrap();
+        assert_eq!(cli.cache, Some(CacheMode::Off), "the last cache flag wins");
+        assert!(cli.markdown);
+        let cli = parse("--checkpoint /tmp/j --points 3 sweep:paper 30000 7500").unwrap();
+        assert!(matches!(cli.mode, Mode::Sweep(_)));
+        assert_eq!(cli.points.map(NonZeroUsize::get), Some(3));
+        let cli = parse("--workers 2 --cache-dir /tmp/c serve /tmp/s").unwrap();
+        assert!(matches!(cli.mode, Mode::Serve(ref s) if s == Path::new("/tmp/s")));
+        let cli = parse("--server /tmp/s --client bob --priority sweep sweep 4000").unwrap();
+        assert!(matches!(cli.mode, Mode::Client { ref id, .. } if id == "sweep"));
+        assert_eq!(cli.priority, Some(Priority::Sweep));
+        let cli = parse("--fidelity lite --profile tpcc_like 8000 2000").unwrap();
+        assert!(matches!(cli.mode, Mode::Profile(ref w) if w == "tpcc_like"));
+        let cli = parse("--jobs 4 --trace-events /tmp/t.json all 8000 2000").unwrap();
+        assert!(matches!(cli.mode, Mode::Trace { ref workload, .. } if workload == "all"));
+        assert!(matches!(parse("").unwrap().mode, Mode::Usage));
+        assert!(matches!(
+            parse("cache-stats").unwrap().mode,
+            Mode::CacheStats(None)
+        ));
+    }
+
+    fn assert_names(line: &str, flag: &str) {
+        let err = parse(line).expect_err(line).to_string();
+        assert!(
+            err.starts_with(&format!("invalid {flag}: ")),
+            "`{line}`: {err}"
+        );
+    }
+
+    #[test]
+    fn a_bad_value_or_argument_is_an_error_naming_it() {
+        for (line, flag) in [
+            ("--sample 0 fig1", "--sample"),
+            ("--workers x serve /tmp/s", "--workers"),
+            ("--points", "--points"),
+            ("--points -1 sweep", "--points"),
+            ("--fidelity lightning fig1", "--fidelity"),
+            ("--priority urgent --server /tmp/s fig1", "--priority"),
+            ("--jobs 0 fig1", "--jobs"),
+            ("--cache-dir", "--cache-dir"),
+            ("--trace-events", "--trace-events"),
+            ("fig10 80k", "ops"),
+            ("sweep:paper --checkpoint /tmp/j 30000 7500", "ops"),
+            ("fig10 8000 2k", "warmup"),
+            ("fig99", "id"),
+            ("--profile no_such_workload", "workload"),
+            ("serve", "serve"),
+            ("fig10 8000 2000 9999", "argument"),
+            ("serve /tmp/s /tmp/t", "argument"),
+        ] {
+            assert_names(line, flag);
+        }
+    }
+
+    #[test]
+    fn a_flag_the_mode_never_reads_is_an_error_naming_the_flag() {
+        for (line, flag) in [
+            ("--checkpoint /tmp/j fig10", "--checkpoint"),
+            ("--points 3 all", "--points"),
+            (
+                "--server /tmp/s --checkpoint /tmp/j sweep:paper",
+                "--checkpoint",
+            ),
+            ("--server /tmp/s --points 3 sweep", "--points"),
+            ("--workers 4 fig10", "--workers"),
+            ("--workers 4 --server /tmp/s fig10", "--workers"),
+            ("--client bob fig10", "--client"),
+            ("--priority sweep all", "--priority"),
+            ("--md sample-smoke", "--md"),
+            ("--md serve /tmp/s", "--md"),
+            ("--md --trace-events /tmp/t.json tpcc_like", "--md"),
+            ("--md --profile", "--md"),
+            ("--md --server /tmp/s fig10", "--md"),
+            ("--server /tmp/s cache-smoke 8000 2000", "--server"),
+            ("--server /tmp/s serve /tmp/t", "--server"),
+            ("--profile --trace-events /tmp/t.json", "--profile"),
+        ] {
+            assert_names(line, flag);
+        }
+    }
 }
