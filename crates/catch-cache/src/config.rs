@@ -1,6 +1,8 @@
 //! Cache and hierarchy configuration.
 
 use crate::replacement::ReplKind;
+use crate::Level;
+use catch_trace::key::{Key, KeySink};
 use std::fmt;
 
 /// Error returned when a cache geometry is invalid.
@@ -223,6 +225,84 @@ impl HierarchyConfig {
             slices: self.cores.max(1),
         });
         self
+    }
+}
+
+impl Key for CacheConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let CacheConfig {
+            name,
+            bytes,
+            ways,
+            latency,
+            repl,
+        } = self;
+        name.key(sink);
+        bytes.key(sink);
+        ways.key(sink);
+        latency.key(sink);
+        repl.key(sink);
+    }
+}
+
+impl Key for ReplKind {
+    fn key(&self, sink: &mut KeySink) {
+        sink.u64(match self {
+            ReplKind::Lru => 0,
+            ReplKind::LruLip => 1,
+            ReplKind::Srrip => 2,
+            ReplKind::Random => 3,
+        });
+    }
+}
+
+impl Key for Level {
+    fn key(&self, sink: &mut KeySink) {
+        sink.u64(match self {
+            Level::L1 => 0,
+            Level::L2 => 1,
+            Level::Llc => 2,
+            Level::Memory => 3,
+        });
+    }
+}
+
+impl Key for HierarchyKind {
+    fn key(&self, sink: &mut KeySink) {
+        sink.u64(match self {
+            HierarchyKind::ThreeLevelExclusive => 0,
+            HierarchyKind::ThreeLevelInclusive => 1,
+            HierarchyKind::TwoLevelNoL2 => 2,
+        });
+    }
+}
+
+impl Key for RingConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let RingConfig { hop_cycles, slices } = self;
+        hop_cycles.key(sink);
+        slices.key(sink);
+    }
+}
+
+impl Key for HierarchyConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let HierarchyConfig {
+            kind,
+            cores,
+            l1i,
+            l1d,
+            l2,
+            llc,
+            ring,
+        } = self;
+        kind.key(sink);
+        cores.key(sink);
+        l1i.key(sink);
+        l1d.key(sink);
+        l2.key(sink);
+        llc.key(sink);
+        ring.key(sink);
     }
 }
 

@@ -53,6 +53,7 @@ use crate::report::ExperimentReport;
 use crate::runcache::{Fingerprint, KeyPrefix, RunCache};
 use crate::system::{System, SystemConfig};
 use catch_obs::Obs;
+use catch_trace::key::{Key, KeySink};
 use catch_workloads::WorkloadSpec;
 
 /// Model-fidelity rung: which core model drives the (always real) memory
@@ -206,6 +207,33 @@ impl Default for EvalConfig {
     }
 }
 
+impl Key for Fidelity {
+    fn key(&self, sink: &mut KeySink) {
+        sink.u64(match self {
+            Fidelity::Fast => 0,
+            Fidelity::Lite => 1,
+            Fidelity::Ooo => 2,
+        });
+    }
+}
+
+impl Key for EvalConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let EvalConfig {
+            ops,
+            warmup,
+            seed,
+            sample,
+            fidelity,
+        } = self;
+        ops.key(sink);
+        warmup.key(sink);
+        seed.key(sink);
+        sample.key(sink);
+        fidelity.key(sink);
+    }
+}
+
 /// Runs the whole ST suite under one configuration, parallelised across
 /// workloads with the environment-sized [`Runner`] (`CATCH_JOBS`, else all
 /// cores). Results are index-ordered and bit-identical to a serial run.
@@ -217,39 +245,60 @@ pub fn run_suite(config: &SystemConfig, eval: &EvalConfig) -> Vec<RunResult> {
 /// worker count (`None` defers to [`Runner::from_env`]).
 ///
 /// Each (workload, config) job resolves through the process-wide
-/// [`RunCache`]: the call leases its traces, so each is generated once
-/// per call (and shared with an enclosing or concurrent call at the same
-/// scale), and structurally identical (config, eval, workload) requests
-/// simulate once per process (or once per cache directory with
-/// `CATCH_RUN_CACHE=<dir>`). Simulations run on private core +
-/// hierarchy state, so worker count and scheduling cannot affect any
-/// counter — the `harness_parity` and `cache_parity` suites in
-/// `catch-tests` assert byte-identical results across job counts and
+/// [`RunCache`]. Jobs whose results are already in memory are answered
+/// on the calling thread; only the rest go to the [`Runner`], and no
+/// runner is built when none remain. Those lease their traces, so each
+/// is generated once per call (and shared with an enclosing or
+/// concurrent call at the same scale), and structurally identical
+/// (config, eval, workload) requests simulate once per process (or once
+/// per cache directory with `CATCH_RUN_CACHE=<dir>`). Simulations run on
+/// private core + hierarchy state, so worker count and scheduling cannot
+/// affect any counter — the `harness_parity` and `cache_parity` suites
+/// in `catch-tests` assert byte-identical results across job counts and
 /// cache modes.
 ///
 /// # Panics
 ///
-/// Panics when `jobs` is `None` and `CATCH_JOBS` holds an invalid value.
-/// Binaries that want a clean diagnostic validate up front with
-/// [`Runner::from_env`] and pass the resolved count explicitly.
+/// Panics when a job has to be resolved off memory, `jobs` is `None`
+/// and `CATCH_JOBS` holds an invalid value. Binaries that want a clean
+/// diagnostic validate up front with [`Runner::from_env`] and pass the
+/// resolved count explicitly.
 pub fn run_suite_parallel(
     config: &SystemConfig,
     eval: &EvalConfig,
     jobs: Option<usize>,
 ) -> Vec<RunResult> {
-    let runner = match jobs {
-        Some(n) => Runner::with_jobs(n),
-        None => Runner::from_env().unwrap_or_else(|e| panic!("{e}")),
-    };
-    let _traces = RunCache::global().lease(eval.ops, eval.seed);
     let system = System::new(config.clone());
     let runs = SuiteRuns::new(&system, eval);
     let workloads = catch_workloads::suite::all();
-    runner.run(&workloads, |_, w| runs.run(w))
+    let mut results: Vec<Option<RunResult>> =
+        workloads.iter().map(|spec| runs.cached(spec)).collect();
+    let rest: Vec<usize> = (0..results.len())
+        .filter(|&i| results[i].is_none())
+        .collect();
+    if !rest.is_empty() {
+        let _traces = RunCache::global().lease(eval.ops, eval.seed);
+        let computed = runner(jobs).run(&rest, |_, &i| runs.run(&workloads[i]));
+        for (i, result) in rest.into_iter().zip(computed) {
+            results[i] = Some(result);
+        }
+    }
+    results
+        .into_iter()
+        .map(|result| result.expect("every workload resolved"))
+        .collect()
+}
+
+/// `jobs` workers, or the environment's count when `None`.
+fn runner(jobs: Option<usize>) -> Runner {
+    match jobs {
+        Some(n) => Runner::with_jobs(n),
+        None => Runner::from_env().unwrap_or_else(|e| panic!("{e}")),
+    }
 }
 
 /// One (system, eval) pair running workloads through the process-wide
-/// [`RunCache`], with the part of the fingerprint they share rendered
+/// [`RunCache`], with the part of the fingerprint they share walked
 /// once for all of them.
 pub(crate) struct SuiteRuns<'a> {
     system: &'a System,
@@ -271,13 +320,24 @@ impl<'a> SuiteRuns<'a> {
         self.key.fingerprint(workload)
     }
 
+    /// The result of `spec` if memory already holds it (see
+    /// [`RunCache::cached`]).
+    fn cached(&self, spec: &WorkloadSpec) -> Option<RunResult> {
+        let fp = self.fingerprint(spec.name);
+        RunCache::global().cached(fp, &self.system.config().name)
+    }
+
     /// The memoized result when the structural key is already known, a
     /// fresh simulation (on the trace the caller's lease shares)
     /// otherwise.
     pub(crate) fn run(&self, spec: &WorkloadSpec) -> RunResult {
+        self.run_keyed(spec, self.fingerprint(spec.name))
+    }
+
+    /// [`SuiteRuns::run`] for a caller that holds `spec`'s fingerprint.
+    fn run_keyed(&self, spec: &WorkloadSpec, fp: Fingerprint) -> RunResult {
         let (system, eval) = (self.system, self.eval);
         let cache = RunCache::global();
-        let fp = self.fingerprint(spec.name);
         cache.run_result_keyed(fp, &system.config().name, spec.name, || {
             let trace = cache.trace(spec, eval.ops, eval.seed);
             match (eval.fidelity, eval.sample) {
@@ -348,11 +408,13 @@ pub fn suite_requests(id: &str) -> Vec<SystemConfig> {
 
 /// Runs a set of experiments as **one deduplicated work queue**: every
 /// unique (config, eval, workload) simulation of every requested
-/// experiment is collected up front via [`suite_requests`], fingerprinted,
-/// deduplicated, executed once on the parallel [`Runner`] (warming the
-/// process-wide [`RunCache`]), and then each experiment assembles its
-/// report entirely from cache hits. One trace lease covers all of it, so
-/// each workload's trace is generated at most once per call.
+/// experiment is collected up front via [`suite_requests`], fingerprinted
+/// and deduplicated; those not already in memory are executed once on
+/// the parallel [`Runner`] (warming the process-wide [`RunCache`]; no
+/// runner is built when memory holds them all), and then each
+/// experiment assembles its report entirely from cache hits. One trace
+/// lease covers all of it, so each workload's trace is generated at most
+/// once per call.
 ///
 /// Cross-experiment sharing falls out of the structural keys: fig10's
 /// `CATCH` row, fig12's S-curve column and sec6d2's 32-entry row are the
@@ -368,36 +430,37 @@ pub fn run_all(
     eval: &EvalConfig,
     jobs: Option<usize>,
 ) -> Vec<(String, ExperimentReport)> {
-    let runner = match jobs {
-        Some(n) => Runner::with_jobs(n),
-        None => Runner::from_env().unwrap_or_else(|e| panic!("{e}")),
-    };
     let _traces = RunCache::global().lease(eval.ops, eval.seed);
     let workloads = catch_workloads::suite::all();
 
     // Phase 1: collect every needed (config, workload) job, deduplicated
-    // by structural fingerprint (display names do not split jobs).
+    // by structural fingerprint (display names do not split jobs). A job
+    // already in memory counts its hit here and is not queued.
     let systems: Vec<System> = ids
         .iter()
         .flat_map(|id| suite_requests(id))
         .map(System::new)
         .collect();
     let suites: Vec<SuiteRuns> = systems.iter().map(|s| SuiteRuns::new(s, eval)).collect();
+    let cache = RunCache::global();
     let mut seen = crate::FxHashSet::default();
-    let mut queue: Vec<(&SuiteRuns, WorkloadSpec)> = Vec::new();
+    let mut queue: Vec<(&SuiteRuns, WorkloadSpec, Fingerprint)> = Vec::new();
     for suite in &suites {
         for spec in &workloads {
-            if seen.insert(suite.fingerprint(spec.name).0) {
-                queue.push((suite, *spec));
+            let fp = suite.fingerprint(spec.name);
+            if seen.insert(fp.0) && cache.ready(fp).is_none() {
+                queue.push((suite, *spec, fp));
             }
         }
     }
 
-    // Phase 2: execute the global queue once; results land in the
-    // process-wide cache (and the disk cache when enabled).
-    runner.run(&queue, |_, (suite, spec)| {
-        suite.run(spec);
-    });
+    // Phase 2: execute the rest once; results land in the process-wide
+    // cache (and the disk cache when enabled).
+    if !queue.is_empty() {
+        runner(jobs).run(&queue, |_, (suite, spec, fp)| {
+            suite.run_keyed(spec, *fp);
+        });
+    }
 
     // Phase 3: assemble every report from cache hits.
     ids.iter()
@@ -514,12 +577,16 @@ mod tests {
     }
 
     #[test]
-    fn fidelity_is_structural_in_the_eval_debug_rendering() {
-        // Every fingerprint in the workspace hashes `{eval:?}`; two evals
-        // differing only in rung must render differently.
-        let ooo = EvalConfig::quick();
-        let lite = EvalConfig::quick().with_fidelity(Fidelity::Lite);
-        assert_ne!(format!("{ooo:?}"), format!("{lite:?}"));
+    fn fidelity_is_structural_in_the_eval_key() {
+        // Every fingerprint in the workspace walks the eval; evals
+        // differing only in rung must key differently.
+        let key = |fidelity| {
+            let mut sink = KeySink::new("test");
+            EvalConfig::quick().with_fidelity(fidelity).key(&mut sink);
+            sink.finish()
+        };
+        let keys: crate::FxHashSet<u128> = Fidelity::ALL.into_iter().map(key).collect();
+        assert_eq!(keys.len(), Fidelity::ALL.len());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! scheduling (asserted by the `harness_parity` suite in `catch-tests`).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Environment variable overriding the worker count (like `make -j`).
 pub const JOBS_ENV: &str = "CATCH_JOBS";
@@ -39,7 +39,9 @@ impl Runner {
     }
 
     /// A runner sized from the environment: `CATCH_JOBS` if set,
-    /// otherwise the machine's available parallelism.
+    /// otherwise the machine's available parallelism. The variable is
+    /// read on every call; the parallelism once per process (the query
+    /// reads cgroup files on Linux).
     ///
     /// Returns `Err` when `CATCH_JOBS` is set to an invalid value (zero,
     /// negative, or non-numeric). A typo'd job count must not silently
@@ -49,9 +51,10 @@ impl Runner {
     pub fn from_env() -> Result<Self, String> {
         let jobs = match std::env::var(JOBS_ENV) {
             Ok(v) => Self::parse_jobs(&v).map_err(|e| format!("invalid {JOBS_ENV}: {e}"))?,
-            Err(_) => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            Err(_) => {
+                static CORES: OnceLock<usize> = OnceLock::new();
+                *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+            }
         };
         Ok(Runner::with_jobs(jobs))
     }

@@ -7,14 +7,20 @@
 //! run cache removes that duplication without changing a single byte of
 //! any report:
 //!
-//! * **Fingerprinting** — [`run_fingerprint`] hashes the structural
-//!   content of a [`SystemConfig`] (its `Debug` rendering with the
-//!   display name stripped), the [`EvalConfig`], the workload id and
-//!   [`SCHEMA_VERSION`] into a 128-bit key. Two requests share a key iff
-//!   they describe the same simulation — so `fig10`'s `"CATCH"` and
-//!   `fig12`'s `"base-excl+CATCH"` (structurally identical machines)
-//!   simulate once; the requested display name is patched onto the
-//!   cached result instead.
+//! * **Fingerprinting** — [`run_fingerprint`] walks [`SCHEMA_VERSION`],
+//!   every field of a [`SystemConfig`] but its display name, every field
+//!   of the [`EvalConfig`] and the workload id into a 128-bit key
+//!   ([`catch_trace::key`]: an explicit per-field walk, never a `Debug`
+//!   rendering). Two requests share a key iff they describe the same
+//!   simulation — so `fig10`'s `"CATCH"` and `fig12`'s
+//!   `"base-excl+CATCH"` (structurally identical machines) simulate
+//!   once; the requested display name is patched onto the cached result
+//!   instead. A suite walks its (config, eval) pair once and copies that
+//!   state per workload ([`KeyPrefix`]).
+//! * **Memory hits on the caller** — a request whose result is already
+//!   in memory is answered without computing or waiting, so a suite
+//!   whose results are all in memory resolves on the calling thread and
+//!   starts no worker (`experiments::run_suite_parallel`).
 //! * **Single-flight deduplication** — concurrent requests for one key
 //!   block on the first requester's computation instead of racing a
 //!   duplicate simulation. A panicking computation marks its slot failed
@@ -48,6 +54,7 @@ use crate::report::json;
 use crate::system::SystemConfig;
 use catch_trace::counters::CounterEntry;
 use catch_trace::hash::FxHasher;
+use catch_trace::key::{Key, KeySink};
 use catch_trace::Trace;
 use catch_workloads::WorkloadSpec;
 use std::collections::HashMap;
@@ -65,9 +72,10 @@ pub const RUN_CACHE_ENV: &str = "CATCH_RUN_CACHE";
 /// Bump on any change that invalidates persisted results: counter
 /// schema, trace generation, or simulator semantics. Part of every
 /// fingerprint, so stale disk entries can never match.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
-/// A 128-bit content fingerprint (two independent 64-bit Fx passes).
+/// A 128-bit content fingerprint: a finished [`KeySink`] (two 64-bit Fx
+/// halves).
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Fingerprint(pub u128);
 
@@ -87,10 +95,10 @@ impl Fingerprint {
     }
 }
 
-/// Hashes `payload` twice with distinct domain-prefix bytes; 64 bits per
-/// half keeps accidental collisions across a few hundred keys negligible
-/// (and the workload id is re-checked on every disk load anyway).
-pub(crate) fn fp128(payload: &str) -> Fingerprint {
+/// Hashes `payload` twice with distinct domain-prefix bytes: the shard
+/// integrity hash over a result's canonical rendering. Keys are never
+/// built from text; they walk their fields ([`KeyPrefix`]).
+fn fp128(payload: &str) -> Fingerprint {
     let half = |tag: u8| {
         let mut h = FxHasher::default();
         h.write_u8(tag);
@@ -101,30 +109,34 @@ pub(crate) fn fp128(payload: &str) -> Fingerprint {
 }
 
 /// The part of a run fingerprint that one (config, eval) pair shares
-/// across workloads, rendered once: a suite fingerprints 28 workloads
-/// against it, and the `Debug` rendering of the configuration is nearly
-/// all of a fingerprint's cost.
+/// across workloads: the key state after the schema version, the
+/// configuration and the eval have been walked. A suite fingerprints 28
+/// workloads against it; each is a copy of the state plus the workload
+/// id.
 ///
 /// The config's display `name` is a report label with no effect on the
-/// simulation, so it is stripped before hashing — structurally identical
-/// configs requested under different names share one key. Everything
-/// else rides on the derived `Debug` renderings, which cover every field
-/// (including env-captured ones like `CoreConfig::skip_ahead`), so any
-/// field perturbation changes the key.
-#[derive(Clone, Debug)]
-pub struct KeyPrefix(String);
+/// simulation, so its walk skips it — structurally identical configs
+/// requested under different names share one key. Every other field is
+/// walked (including env-captured ones like `CoreConfig::skip_ahead`),
+/// so any field perturbation changes the key.
+#[derive(Clone, Copy, Debug)]
+pub struct KeyPrefix(KeySink);
 
 impl KeyPrefix {
-    /// Renders `schema|config|eval|` for the pair.
+    /// Walks `schema, config, eval` for the pair.
     pub fn new(config: &SystemConfig, eval: &EvalConfig) -> Self {
-        let mut anon = config.clone();
-        anon.name = String::new();
-        KeyPrefix(format!("schema{SCHEMA_VERSION}|{anon:?}|{eval:?}|"))
+        let mut sink = KeySink::new("run");
+        sink.u64(SCHEMA_VERSION);
+        config.key(&mut sink);
+        eval.key(&mut sink);
+        KeyPrefix(sink)
     }
 
     /// Structural cache key of the pair's simulation of `workload`.
     pub fn fingerprint(&self, workload: &str) -> Fingerprint {
-        fp128(&[self.0.as_str(), workload].concat())
+        let mut sink = self.0;
+        sink.str(workload);
+        Fingerprint(sink.finish())
     }
 }
 
@@ -192,6 +204,17 @@ impl<K: Eq + Hash + Clone, V: Clone> SingleFlight<K, V> {
 
     fn clear(&self) {
         self.lock().clear();
+    }
+
+    /// The value of `key` if it is ready; `None` while it is absent or
+    /// still being computed.
+    fn ready(&self, key: &K) -> Option<V> {
+        let slot = self.lock().get(key)?.clone();
+        let state = slot.state.lock().expect("slot poisoned");
+        match &*state {
+            SlotState::Ready(v) => Some(v.clone()),
+            SlotState::InFlight | SlotState::Failed => None,
+        }
     }
 
     /// Returns the memoized value and how this call found it.
@@ -529,10 +552,27 @@ impl RunCache {
         if found == Found::Hit {
             bump(&self.activity.hits);
         }
-        let mut out = (*cached).clone();
-        out.config.clear();
-        out.config.push_str(label);
-        out
+        labelled(&cached, label)
+    }
+
+    /// The result of `fp` when memory already holds it, counted as a hit
+    /// and labelled like [`RunCache::run_result_keyed`]'s; `None`, with
+    /// nothing counted, when it would have to be loaded, computed or
+    /// waited for. Lets a caller answer its memory hits on its own
+    /// thread and hand a worker pool only the rest.
+    pub(crate) fn cached(&self, fp: Fingerprint, label: &str) -> Option<RunResult> {
+        self.ready(fp).map(|result| labelled(&result, label))
+    }
+
+    /// [`RunCache::cached`] without the copy: whether memory holds `fp`,
+    /// counted as a hit when it does.
+    pub(crate) fn ready(&self, fp: Fingerprint) -> Option<Arc<RunResult>> {
+        if self.is_off() {
+            return None;
+        }
+        let result = self.results.ready(&fp.0)?;
+        bump(&self.activity.hits);
+        Some(result)
     }
 
     /// Records a disk problem: bumps the `disk_warnings` counter every
@@ -598,6 +638,14 @@ impl RunCache {
             let _ = std::fs::remove_file(&tmp);
         }
     }
+}
+
+/// A copy of a memoized result under the requested display name.
+fn labelled(result: &RunResult, label: &str) -> RunResult {
+    let mut out = result.clone();
+    out.config.clear();
+    out.config.push_str(label);
+    out
 }
 
 /// The bytes of one disk entry. The stored result carries an empty

@@ -11,7 +11,7 @@
 //! file:
 //!
 //! ```json
-//! {"sweep": "<fp hex>", "schema": 1, "points": 12, "fidelity": "lite",
+//! {"sweep": "<fp hex>", "schema": 2, "points": 12, "fidelity": "lite",
 //!  "baseline": {"xalanc_like": 4606281698874543104, ...},
 //!  "baseline_ooo": {"xalanc_like": ...}}
 //! ```
@@ -265,7 +265,14 @@ impl Writer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runcache::fp128;
+    use catch_trace::key::KeySink;
+
+    /// A stand-in key for a sweep or point named `name`.
+    fn key(name: &str) -> Fingerprint {
+        let mut sink = KeySink::new("journal-test");
+        sink.str(name);
+        Fingerprint(sink.finish())
+    }
 
     fn tmp(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("catch-journal-{}", std::process::id()));
@@ -277,7 +284,7 @@ mod tests {
     fn round_trips_header_and_points_bit_exactly() {
         let path = tmp("roundtrip.journal");
         let _ = std::fs::remove_file(&path);
-        let sweep = fp128("journal-test-sweep");
+        let sweep = key("journal-test-sweep");
         let baseline = vec![("astar_like".to_string(), 0.1234567891234)];
         let baseline_ooo = vec![("astar_like".to_string(), 0.9876543219876)];
         let header = HeaderInfo {
@@ -286,7 +293,7 @@ mod tests {
             baseline_ooo: Some(baseline_ooo.clone()),
         };
         let w = Writer::open(&path, sweep, 3, Some(header)).unwrap();
-        let p1 = fp128("p1");
+        let p1 = key("p1");
         let m1 = PointMetrics {
             perf: 1.0372819,
             energy_uj: 8123.4567,
@@ -294,7 +301,7 @@ mod tests {
         };
         w.append(p1, "excl3-5632KB", m1);
         w.append(
-            fp128("p2"),
+            key("p2"),
             "weird \"name\"\n",
             PointMetrics {
                 perf: f64::NAN,
@@ -310,7 +317,7 @@ mod tests {
         assert_eq!(state.points.len(), 2);
         assert_eq!(state.points[&p1.0], m1);
         // NaN survives as NaN (bit pattern, not text).
-        assert!(state.points[&fp128("p2").0].perf.is_nan());
+        assert!(state.points[&key("p2").0].perf.is_nan());
         // A fidelity-plan change is rejected with its own diagnostic,
         // ahead of (and more specific than) the fingerprint check.
         let err = load(&path, sweep, "ooo").expect_err("plan change rejected");
@@ -322,7 +329,7 @@ mod tests {
     fn rejects_foreign_sweeps_and_tolerates_torn_tails() {
         let path = tmp("torn.journal");
         let _ = std::fs::remove_file(&path);
-        let sweep = fp128("owner");
+        let sweep = key("owner");
         let header = HeaderInfo {
             fidelity: "ooo",
             baseline: vec![("x".into(), 1.0)],
@@ -330,7 +337,7 @@ mod tests {
         };
         let w = Writer::open(&path, sweep, 1, Some(header)).unwrap();
         w.append(
-            fp128("done"),
+            key("done"),
             "a",
             PointMetrics {
                 perf: 1.0,
@@ -352,7 +359,7 @@ mod tests {
             "plain headers carry no OOO baseline"
         );
         // A different sweep must refuse to resume from this file.
-        assert!(load(&path, fp128("intruder"), "ooo").is_err());
+        assert!(load(&path, key("intruder"), "ooo").is_err());
         // Missing file: clean empty state.
         let fresh = load(&tmp("never-written.journal"), sweep, "ooo").unwrap();
         assert!(fresh.baseline.is_none() && fresh.points.is_empty());
@@ -362,7 +369,7 @@ mod tests {
     fn a_journal_cut_at_any_byte_loads_what_was_complete() {
         let path = tmp("cut.journal");
         let _ = std::fs::remove_file(&path);
-        let sweep = fp128("cut-sweep");
+        let sweep = key("cut-sweep");
         let header = HeaderInfo {
             fidelity: "lite",
             baseline: vec![("astar_like".into(), 0.75), ("mcf_like".into(), 0.25)],
@@ -370,8 +377,8 @@ mod tests {
         };
         let w = Writer::open(&path, sweep, 2, Some(header)).unwrap();
         let points = [
-            (fp128("p1"), "excl3-5632KB", 1.0372819),
-            (fp128("p2"), "odd \"name\" µ", 0.97),
+            (key("p1"), "excl3-5632KB", 1.0372819),
+            (key("p2"), "odd \"name\" µ", 0.97),
         ];
         for (fp, name, perf) in points {
             let m = PointMetrics {

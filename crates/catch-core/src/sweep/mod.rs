@@ -69,9 +69,10 @@ use crate::energy::{energy_of, EnergyConstants};
 use crate::experiments::{run_one, EvalConfig, Fidelity, Runner, GOLDEN_WORKLOADS};
 use crate::metrics::try_geomean;
 use crate::report::ExperimentReport;
-use crate::runcache::{fp128, Fingerprint, RunCache, SCHEMA_VERSION};
+use crate::runcache::{Fingerprint, RunCache, SCHEMA_VERSION};
 use crate::system::{System, SystemConfig};
 use catch_cache::{CacheConfig, Level};
+use catch_trace::key::{Key, KeySink};
 use catch_workloads::WorkloadSpec;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -123,6 +124,37 @@ pub struct SweepSpec {
     /// Workloads each point is evaluated over (perf is the geomean IPC
     /// ratio vs the exclusive baseline across these).
     pub workloads: Vec<String>,
+}
+
+impl Key for Org {
+    fn key(&self, sink: &mut KeySink) {
+        sink.u64(match self {
+            Org::Excl3 => 0,
+            Org::Incl3 => 1,
+            Org::NoL2 => 2,
+        });
+    }
+}
+
+impl Key for SweepSpec {
+    fn key(&self, sink: &mut KeySink) {
+        let SweepSpec {
+            llc_kb,
+            orgs,
+            catch,
+            llc_extra_latency,
+            baseline_prefetchers,
+            chip_cores,
+            workloads,
+        } = self;
+        llc_kb.key(sink);
+        orgs.key(sink);
+        catch.key(sink);
+        llc_extra_latency.key(sink);
+        baseline_prefetchers.key(sink);
+        chip_cores.key(sink);
+        workloads.key(sink);
+    }
 }
 
 impl SweepSpec {
@@ -308,29 +340,30 @@ pub fn expand(spec: &SweepSpec) -> Vec<SweepPoint> {
 /// journal written under a different screen derivation is foreign
 /// rather than silently mixed.
 pub fn sweep_fingerprint(spec: &SweepSpec, eval: &EvalConfig) -> Fingerprint {
+    let mut sink = KeySink::new("sweep");
+    sink.u64(SCHEMA_VERSION);
+    spec.key(&mut sink);
+    eval.key(&mut sink);
     if eval.fidelity != Fidelity::Ooo {
-        let screen = eval.screened();
-        fp128(&format!(
-            "sweep|schema{SCHEMA_VERSION}|{spec:?}|{eval:?}|screen{screen:?}"
-        ))
-    } else {
-        fp128(&format!("sweep|schema{SCHEMA_VERSION}|{spec:?}|{eval:?}"))
+        eval.screened().key(&mut sink);
     }
+    Fingerprint(sink.finish())
 }
 
 /// Structural fingerprint of one grid point under one evaluation scale
-/// (the journal's per-point key). The display name is a report label and
-/// is stripped, exactly like the run cache's keys.
+/// (the journal's per-point key). The configuration's walk skips its
+/// display name, exactly as the run cache's keys do.
 pub fn point_fingerprint(
     config: &SystemConfig,
     eval: &EvalConfig,
     workloads: &[String],
 ) -> Fingerprint {
-    let mut anon = config.clone();
-    anon.name = String::new();
-    fp128(&format!(
-        "sweeppoint|schema{SCHEMA_VERSION}|{anon:?}|{eval:?}|{workloads:?}"
-    ))
+    let mut sink = KeySink::new("sweeppoint");
+    sink.u64(SCHEMA_VERSION);
+    config.key(&mut sink);
+    eval.key(&mut sink);
+    workloads.key(&mut sink);
+    Fingerprint(sink.finish())
 }
 
 /// Ladder-mode spot-check stride: one OOO reference run per

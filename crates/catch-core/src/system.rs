@@ -9,6 +9,7 @@ use catch_cpu::{
 use catch_criticality::DetectorConfig;
 use catch_dram::{DramConfig, DramSystem};
 use catch_obs::Obs;
+use catch_trace::key::{Key, KeySink};
 use catch_trace::Trace;
 
 /// One machine configuration: hierarchy organisation, core features and
@@ -130,6 +131,25 @@ impl SystemConfig {
         self.core.perfect_l1i = true;
         self.core.baseline_prefetchers = false;
         self
+    }
+}
+
+/// The structural walk: everything but the display `name`, a report
+/// label no counter depends on, so structurally identical configurations
+/// requested under different names share one key.
+impl Key for SystemConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let SystemConfig {
+            name: _,
+            hierarchy,
+            core,
+            dram,
+            extra_latency,
+        } = self;
+        hierarchy.key(sink);
+        core.key(sink);
+        dram.key(sink);
+        extra_latency.key(sink);
     }
 }
 

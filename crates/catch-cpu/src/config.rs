@@ -3,6 +3,7 @@
 use catch_cache::Level;
 use catch_criticality::{DetectorConfig, HeuristicConfig};
 use catch_prefetch::TactConfig;
+use catch_trace::key::{Key, KeySink};
 use catch_trace::OpClass;
 use std::ffi::OsStr;
 
@@ -262,6 +263,126 @@ impl CoreConfig {
 impl Default for CoreConfig {
     fn default() -> Self {
         CoreConfig::baseline()
+    }
+}
+
+impl Key for ExecLatencies {
+    fn key(&self, sink: &mut KeySink) {
+        let ExecLatencies {
+            alu,
+            mul,
+            div,
+            fp_add,
+            fp_mul,
+            branch,
+            store,
+        } = self;
+        for latency in [alu, mul, div, fp_add, fp_mul, branch, store] {
+            latency.key(sink);
+        }
+    }
+}
+
+impl Key for PortConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let PortConfig {
+            int_ports,
+            fp_ports,
+            load_ports,
+            store_ports,
+        } = self;
+        for ports in [int_ports, fp_ports, load_ports, store_ports] {
+            ports.key(sink);
+        }
+    }
+}
+
+impl Key for LoadOracle {
+    fn key(&self, sink: &mut KeySink) {
+        match self {
+            LoadOracle::None => sink.u64(0),
+            LoadOracle::Demote {
+                level,
+                only_noncritical,
+            } => {
+                sink.u64(1);
+                level.key(sink);
+                only_noncritical.key(sink);
+            }
+            LoadOracle::CriticalPrefetch => sink.u64(2),
+            LoadOracle::PrefetchAll => sink.u64(3),
+        }
+    }
+}
+
+impl Key for DetectorKind {
+    fn key(&self, sink: &mut KeySink) {
+        match self {
+            DetectorKind::Graph => sink.u64(0),
+            DetectorKind::Heuristic(config) => {
+                sink.u64(1);
+                config.key(sink);
+            }
+        }
+    }
+}
+
+impl Key for TactMode {
+    fn key(&self, sink: &mut KeySink) {
+        let TactMode { data, code } = self;
+        data.key(sink);
+        code.key(sink);
+    }
+}
+
+impl Key for CoreConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let CoreConfig {
+            fetch_width,
+            alloc_width,
+            retire_width,
+            rob_size,
+            sched_window,
+            fetch_buffer,
+            latencies,
+            ports,
+            mispredict_penalty,
+            baseline_prefetchers,
+            tact,
+            tact_config,
+            detector,
+            detector_kind,
+            oracle,
+            perfect_l1i,
+            demoted_memory_latency,
+            max_outstanding_loads,
+            code_runahead_lines,
+            skip_ahead,
+        } = self;
+        for width in [
+            fetch_width,
+            alloc_width,
+            retire_width,
+            rob_size,
+            sched_window,
+            fetch_buffer,
+        ] {
+            width.key(sink);
+        }
+        latencies.key(sink);
+        ports.key(sink);
+        mispredict_penalty.key(sink);
+        baseline_prefetchers.key(sink);
+        tact.key(sink);
+        tact_config.key(sink);
+        detector.key(sink);
+        detector_kind.key(sink);
+        oracle.key(sink);
+        perfect_l1i.key(sink);
+        demoted_memory_latency.key(sink);
+        max_outstanding_loads.key(sink);
+        code_runahead_lines.key(sink);
+        skip_ahead.key(sink);
     }
 }
 

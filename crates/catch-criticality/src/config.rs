@@ -1,6 +1,7 @@
 //! Detector configuration.
 
 use catch_cache::Level;
+use catch_trace::key::{Key, KeySink};
 
 /// Configuration of the criticality detector.
 #[derive(Clone, Debug, PartialEq)]
@@ -84,6 +85,33 @@ impl DetectorConfig {
     /// returning the cost the graph uses (re-scaled).
     pub fn quantize(&self, latency: u64) -> u64 {
         (latency >> self.quantize_shift).min(self.quantized_max()) << self.quantize_shift
+    }
+}
+
+impl Key for DetectorConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let DetectorConfig {
+            rob_size,
+            buffer_factor_x10,
+            walk_factor_x10,
+            table_entries,
+            table_ways,
+            confidence_reset_interval,
+            quantize_shift,
+            redirect_penalty,
+            rename_latency,
+            track_levels,
+        } = self;
+        rob_size.key(sink);
+        buffer_factor_x10.key(sink);
+        walk_factor_x10.key(sink);
+        table_entries.key(sink);
+        table_ways.key(sink);
+        confidence_reset_interval.key(sink);
+        quantize_shift.key(sink);
+        redirect_penalty.key(sink);
+        rename_latency.key(sink);
+        track_levels.key(sink);
     }
 }
 

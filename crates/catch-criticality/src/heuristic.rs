@@ -18,6 +18,7 @@ use crate::detector::DetectorStats;
 use crate::graph::RetiredInst;
 use crate::table::CriticalLoadTable;
 use catch_obs::{Event, EventClass, EventKind, Obs};
+use catch_trace::key::{Key, KeySink};
 use catch_trace::Pc;
 use std::collections::VecDeque;
 
@@ -32,6 +33,19 @@ pub struct HeuristicConfig {
     pub dep_depth: usize,
     /// Loads with at least this observed latency are flagged outright.
     pub latency_threshold: u64,
+}
+
+impl Key for HeuristicConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let HeuristicConfig {
+            shadow_window,
+            dep_depth,
+            latency_threshold,
+        } = self;
+        shadow_window.key(sink);
+        dep_depth.key(sink);
+        latency_threshold.key(sink);
+    }
 }
 
 impl Default for HeuristicConfig {

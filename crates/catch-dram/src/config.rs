@@ -1,5 +1,7 @@
 //! DRAM configuration.
 
+use catch_trace::key::{Key, KeySink};
+
 /// Geometry and timing of the memory system.
 ///
 /// Timing fields are in *DRAM command-clock* cycles; [`DramConfig::scale`]
@@ -64,6 +66,32 @@ impl DramConfig {
     /// Cache lines per row buffer.
     pub fn lines_per_row(&self) -> u64 {
         self.row_bytes / catch_trace::LINE_BYTES
+    }
+}
+
+impl Key for DramConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let DramConfig {
+            channels,
+            ranks,
+            banks,
+            row_bytes,
+            t_cas,
+            t_rcd,
+            t_rp,
+            t_ras,
+            t_burst,
+            core_per_dram_x100,
+            write_batch,
+        } = self;
+        channels.key(sink);
+        ranks.key(sink);
+        banks.key(sink);
+        row_bytes.key(sink);
+        for cycles in [t_cas, t_rcd, t_rp, t_ras, t_burst, core_per_dram_x100] {
+            cycles.key(sink);
+        }
+        write_batch.key(sink);
     }
 }
 

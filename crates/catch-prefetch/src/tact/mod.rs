@@ -34,6 +34,7 @@ pub use trigger_cache::TriggerCache;
 
 use crate::image::MemoryImage;
 use catch_trace::hash::FxHashMap;
+use catch_trace::key::{Key, KeySink};
 use catch_trace::{Addr, MicroOp, OpClass, Pc};
 
 /// Configuration of the TACT data prefetchers.
@@ -84,6 +85,31 @@ impl TactConfig {
             enable_feeder: false,
             ..TactConfig::paper()
         }
+    }
+}
+
+impl Key for TactConfig {
+    fn key(&self, sink: &mut KeySink) {
+        let TactConfig {
+            max_targets,
+            deep_max_distance,
+            feeder_distance,
+            cross_instances_per_candidate,
+            cross_candidate_wraps,
+            enable_cross,
+            enable_deep,
+            enable_feeder,
+            max_prefetches_per_event,
+        } = self;
+        max_targets.key(sink);
+        deep_max_distance.key(sink);
+        feeder_distance.key(sink);
+        cross_instances_per_candidate.key(sink);
+        cross_candidate_wraps.key(sink);
+        enable_cross.key(sink);
+        enable_deep.key(sink);
+        enable_feeder.key(sink);
+        max_prefetches_per_event.key(sink);
     }
 }
 

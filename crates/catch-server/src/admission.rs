@@ -14,30 +14,27 @@
 //! same scale share one job. Below that, the process-wide
 //! [`RunCache`](catch_core::RunCache) still dedups the individual
 //! (config, workload) simulations across *different* experiments — the
-//! two layers compose (see DESIGN.md §12).
+//! two layers compose (see DESIGN.md §12). Both are built the same way:
+//! an explicit walk over the request's fields ([`catch_trace::key`]).
 
 use crate::protocol::RunRequest;
 use catch_core::experiments::EvalConfig;
-use catch_trace::hash::FxHasher;
-use std::hash::Hasher;
+use catch_trace::key::{Key, KeySink};
 
 /// Default cap on queued (admitted, not yet running) jobs.
 pub const DEFAULT_MAX_QUEUE: usize = 256;
 
-/// Structural fingerprint of one experiment request: two independent
-/// 64-bit Fx passes over `id` + the `EvalConfig` debug rendering (the
-/// same double-hash construction the run cache uses). The client name,
-/// priority and seq are delivery metadata and deliberately excluded —
-/// identical work from different clients must share one fingerprint.
+/// Structural fingerprint of one experiment request: `id` and every
+/// field of the [`EvalConfig`], walked into a `"request"`-domain
+/// [`KeySink`] (the construction the run cache's keys use). The client
+/// name, priority and seq are delivery metadata and deliberately
+/// excluded — identical work from different clients must share one
+/// fingerprint.
 pub fn request_fingerprint(id: &str, eval: &EvalConfig) -> u128 {
-    let payload = format!("request|{id}|{eval:?}");
-    let half = |tag: u8| {
-        let mut h = FxHasher::default();
-        h.write_u8(tag);
-        h.write(payload.as_bytes());
-        h.finish()
-    };
-    ((half(0x5E) as u128) << 64) | half(0xA7) as u128
+    let mut sink = KeySink::new("request");
+    id.key(&mut sink);
+    eval.key(&mut sink);
+    sink.finish()
 }
 
 /// What admission decided for one request.

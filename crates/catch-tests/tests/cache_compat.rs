@@ -5,10 +5,11 @@
 //! turns into misses.
 //!
 //! * `golden/fingerprints.txt` — the cache key of one request per
-//!   config-builder axis, eval field and workload. The keys hash the
-//!   derived `Debug` rendering of the config structs, so a renamed
-//!   field, a reordered derive or a float-format change moves them; this
+//!   config-builder axis, eval field and workload. The keys walk the
+//!   config structs field by field (`catch_trace::key`), so a field
+//!   added, removed or re-walked in another order moves them; this
 //!   snapshot makes that a deliberate re-bless instead of an accident.
+//!   (`tests/key_walk.rs` checks that every field moves the key.)
 //! * `golden/run_cache/<fingerprint>.json` — one shard exactly as the
 //!   commit before the linear-time codec stored it.
 //!

@@ -40,6 +40,7 @@ pub mod counters;
 pub mod hash;
 mod ids;
 mod io;
+pub mod key;
 mod op;
 pub mod rng;
 mod stats;

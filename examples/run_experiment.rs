@@ -24,8 +24,9 @@
 //!
 //! Flags come first, in any order; then `<id> [ops] [warmup]`. A
 //! malformed value, a flag the chosen mode never reads (say `--workers`
-//! outside `serve`, or `--checkpoint` outside a local sweep) and an
-//! argument past `[warmup]` are errors: each exits 2 naming it.
+//! outside `serve`, `--checkpoint` outside a local sweep, or `--sample`
+//! with `--profile`) and an argument past `[warmup]` are errors: each
+//! exits 2 naming it.
 //!
 //! `--jobs N` sets the worker-thread count for suite runs (equivalent to
 //! `CATCH_JOBS=N`; default: all cores). Results are bit-identical for
@@ -139,6 +140,8 @@ struct Gate {
     id: &'static str,
     about: &'static str,
     run: fn(&EvalConfig) -> Verdict,
+    /// Which of `--sample` and `--fidelity` the gate honours.
+    reads: &'static [&'static str],
 }
 
 /// Every CI gate, in usage order.
@@ -147,31 +150,37 @@ const GATES: &[Gate] = &[
         id: "sample-smoke",
         about: "CI accuracy gate",
         run: sample_smoke,
+        reads: &["--sample"],
     },
     Gate {
         id: "obs-smoke",
         about: "CI observability-overhead gate",
         run: obs_smoke,
+        reads: &[],
     },
     Gate {
         id: "cache-smoke",
         about: "CI run-cache gate",
         run: cache_smoke,
+        reads: &["--sample", "--fidelity"],
     },
     Gate {
         id: "server-smoke",
         about: "CI simulation-service gate",
         run: server_smoke,
+        reads: &["--sample", "--fidelity"],
     },
     Gate {
         id: "sweep-smoke",
         about: "CI sweep resumability gate",
         run: sweep_smoke,
+        reads: &["--sample", "--fidelity"],
     },
     Gate {
         id: "ladder-smoke",
         about: "CI fidelity-ladder accuracy gate",
         run: ladder_smoke,
+        reads: &[],
     },
 ];
 
@@ -213,8 +222,8 @@ impl Mode {
         }
     }
 
-    /// Whether this mode reads `flag`. Only the flags that belong to one
-    /// mode can be stray; the rest apply to every run.
+    /// Whether this mode reads `flag`. Only the flags that belong to some
+    /// modes can be stray; the rest apply to every run.
     fn reads(&self, flag: &str) -> bool {
         matches!(self, Mode::Usage)
             || match flag {
@@ -223,6 +232,14 @@ impl Mode {
                 "--workers" => matches!(self, Mode::Serve(_)),
                 "--server" | "--client" | "--priority" => matches!(self, Mode::Client { .. }),
                 "--profile" => matches!(self, Mode::Profile(_)),
+                // A traced or profiled run takes no sample plan; the daemon
+                // and the shard inventory run nothing of their own.
+                "--sample" | "--fidelity" => match self {
+                    Mode::Gate(gate) => gate.reads.contains(&flag),
+                    Mode::Trace { .. } | Mode::Profile(_) => flag == "--fidelity",
+                    Mode::Serve(_) | Mode::CacheStats(_) => false,
+                    _ => true,
+                },
                 _ => true,
             }
     }
@@ -1175,14 +1192,18 @@ mod tests {
         assert_eq!(ran, gates, "CI gate steps and GATES drifted apart");
     }
 
-    #[test]
-    fn every_documented_command_line_parses() {
-        let own_docs: String = include_str!("run_experiment.rs")
+    /// This file's `//!` docs.
+    fn own_docs() -> String {
+        include_str!("run_experiment.rs")
             .lines()
             .filter_map(|l| l.strip_prefix("//!"))
             .collect::<Vec<_>>()
-            .join("\n");
-        let docs = [
+            .join("\n")
+    }
+
+    /// The documents that show command lines, by name.
+    fn docs(own_docs: &str) -> [(&'static str, &str); 5] {
+        [
             ("README.md", include_str!("../README.md")),
             ("EXPERIMENTS.md", include_str!("../EXPERIMENTS.md")),
             ("DESIGN.md", include_str!("../DESIGN.md")),
@@ -1190,10 +1211,65 @@ mod tests {
                 "SKILL.md",
                 include_str!("../.claude/skills/verify/SKILL.md"),
             ),
-            ("run_experiment.rs", own_docs.as_str()),
-        ];
+            ("run_experiment.rs", own_docs),
+        ]
+    }
+
+    /// Every bench target `text` names as `--bench X` or `` `bench X` ``.
+    fn bench_targets(text: &str) -> Vec<&str> {
+        ["--bench ", "`bench "]
+            .iter()
+            .flat_map(|mark| {
+                text.match_indices(mark)
+                    .map(|(at, m)| &text[at + m.len()..])
+            })
+            .map(|tail| {
+                let end = tail
+                    .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+                    .unwrap_or(tail.len());
+                &tail[..end]
+            })
+            .collect()
+    }
+
+    #[test]
+    fn every_documented_bench_target_exists() {
+        let manifest = include_str!("../crates/catch-bench/Cargo.toml");
+        let targets: BTreeSet<&str> = manifest
+            .split("[[bench]]")
+            .skip(1)
+            .filter_map(|block| block.split_once("name = \"")?.1.split_once('"'))
+            .map(|(name, _)| name)
+            .collect();
+        assert!(targets.contains("sim_throughput"), "{targets:?}");
+        let own_docs = own_docs();
+        let ci = ("ci.yml", include_str!("../.github/workflows/ci.yml"));
         let mut checked = 0;
-        for (doc, text) in docs {
+        for (doc, text) in docs(&own_docs).into_iter().chain([ci]) {
+            for name in bench_targets(text) {
+                assert!(
+                    targets.contains(name),
+                    "{doc} names bench target `{name}`, which catch-bench does not have \
+                     (a paper figure is `run_experiment <id>`)"
+                );
+                checked += 1;
+            }
+        }
+        assert!(
+            checked >= 3,
+            "found only {checked} bench targets in the docs"
+        );
+        assert_eq!(
+            bench_targets("`bench ablations` and --bench fig01_remove_l2,"),
+            ["fig01_remove_l2", "ablations"]
+        );
+    }
+
+    #[test]
+    fn every_documented_command_line_parses() {
+        let own_docs = own_docs();
+        let mut checked = 0;
+        for (doc, text) in docs(&own_docs) {
             for args in command_lines(text) {
                 if let Err(e) = parse_cli(&args) {
                     panic!("{doc}: `run_experiment -- {}`: {e}", args.join(" "));
@@ -1248,6 +1324,12 @@ mod tests {
         let cli = parse("--server /tmp/s --client bob --priority sweep sweep 4000").unwrap();
         assert!(matches!(cli.mode, Mode::Client { ref id, .. } if id == "sweep"));
         assert_eq!(cli.priority, Some(Priority::Sweep));
+        let cli = parse("--sample 500 --fidelity lite cache-smoke 4000 1000").unwrap();
+        assert!(matches!(cli.mode, Mode::Gate(gate) if gate.id == "cache-smoke"));
+        assert_eq!(
+            (cli.eval.sample, cli.eval.fidelity),
+            (Some(500), Fidelity::Lite)
+        );
         let cli = parse("--fidelity lite --profile tpcc_like 8000 2000").unwrap();
         assert!(matches!(cli.mode, Mode::Profile(ref w) if w == "tpcc_like"));
         let cli = parse("--jobs 4 --trace-events /tmp/t.json all 8000 2000").unwrap();
@@ -1314,6 +1396,18 @@ mod tests {
             ("--server /tmp/s cache-smoke 8000 2000", "--server"),
             ("--server /tmp/s serve /tmp/t", "--server"),
             ("--profile --trace-events /tmp/t.json", "--profile"),
+            (
+                "--sample 500 --trace-events /tmp/t.json tpcc_like",
+                "--sample",
+            ),
+            ("--sample 500 --profile tpcc_like", "--sample"),
+            ("--sample 500 obs-smoke", "--sample"),
+            ("--sample 500 ladder-smoke 4000 1000", "--sample"),
+            ("--fidelity lite sample-smoke 8000", "--fidelity"),
+            ("--fidelity lite obs-smoke", "--fidelity"),
+            ("--fidelity lite ladder-smoke", "--fidelity"),
+            ("--sample 500 serve /tmp/s", "--sample"),
+            ("--fidelity lite cache-stats", "--fidelity"),
         ] {
             assert_names(line, flag);
         }
